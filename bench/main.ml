@@ -29,7 +29,7 @@ module Server = Accals_server.Server
 module Sclient = Accals_server.Client
 module Sproto = Accals_server.Protocol
 module Sbackoff = Accals_server.Backoff
-module Fault_io = Accals_resilience.Fault_io
+module Fault = Accals_resilience.Fault
 module Scache = Accals_server.Cache
 
 let full = ref false
@@ -1637,14 +1637,8 @@ let resource () =
   Domain.join daemon;
   (* Phase 1: budgeted flood with a fraction of every governed write
      failing ENOSPC, killed while jobs are still queued. *)
-  let faults =
-    match Fault_io.parse "seed:7,write:enospc%5" with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  Fault_io.arm faults;
   let phase1_injected, phase1_resource_total =
-    Fun.protect ~finally:Fault_io.disarm (fun () ->
+    Fault.with_spec "seed:7,write:enospc%5" (fun () ->
         let server, daemon = boot ~budgeted:true in
         let c = Sclient.connect_unix_retry sock in
         let submitted = submit_all c in
@@ -1669,7 +1663,7 @@ let resource () =
         Sclient.close c;
         Server.stop server;
         Domain.join daemon;
-        (Fault_io.injected_count (), resource_total))
+        (Fault.injected_count (), resource_total))
   in
   (* Cold inspection of what phase 1 left on disk.  Every cache entry
      must parse and match its key ([Scache.find] deletes it otherwise),

@@ -381,8 +381,6 @@ let json_arg =
            normally print to stdout (resume, checkpoint scan) move to \
            stderr so stdout stays a single JSON document.")
 
-let ckpt_tag = "accals-engine"
-
 let rec ensure_dir dir =
   if not (Sys.file_exists dir) then begin
     let parent = Filename.dirname dir in
@@ -437,7 +435,7 @@ let synth_cmd =
        at the next round boundary with the documented 130/143 exit code. *)
     let checkpoint snap =
       Option.iter
-        (fun path -> Checkpoint.save ~keep:ckpt_keep ~path ~tag:ckpt_tag snap)
+        (fun path -> Checkpoint.save ~keep:ckpt_keep ~path ~tag:Engine.snapshot_tag snap)
         ckpt_path;
       Graceful.check ()
     in
@@ -502,7 +500,7 @@ let synth_cmd =
           if resume then
             Option.bind ckpt_path (fun path ->
                 Option.map fst
-                  (Checkpoint.load_rotated ~path ~tag:ckpt_tag ~keep:ckpt_keep
+                  (Checkpoint.load_rotated ~path ~tag:Engine.snapshot_tag ~keep:ckpt_keep
                      ~on_corrupt:(fun ~path detail ->
                        notice "checkpoint   : skipping corrupt %s (%s)\n"
                          path detail;

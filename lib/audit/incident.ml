@@ -99,7 +99,7 @@ let append_jsonl ~path incidents =
        and the cache, so chaos runs must be able to starve it too. *)
     List.iter
       (fun t ->
-        Accals_resilience.Fault_io.output_string oc (to_json t);
+        Accals_resilience.Fault.output_string oc (to_json t);
         output_char oc '\n')
       incidents;
     flush oc

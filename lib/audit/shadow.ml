@@ -78,28 +78,3 @@ let compare ~net ~patterns ~golden ~metric ~recorded_error ~observed =
           recorded_error;
           reference_error;
         }
-
-(* Deliberate-corruption self-test hook: when armed with a round number
-   (programmatically or via ACCALS_AUDIT_SELFTEST), the engine corrupts one
-   stored signature just before that round's audit, proving end-to-end that
-   divergence detection, incident logging and rebuild fallback all fire. *)
-
-let armed : int option ref = ref None
-
-let () =
-  match Sys.getenv_opt "ACCALS_AUDIT_SELFTEST" with
-  | None | Some "" -> ()
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some r when r >= 1 -> armed := Some r
-    | _ ->
-      Printf.eprintf
-        "accals: invalid ACCALS_AUDIT_SELFTEST %S (expected a round number \
-         >= 1)\n\
-         %!"
-        s;
-      exit 2)
-
-let arm_selftest ~round = armed := Some round
-let disarm_selftest () = armed := None
-let selftest_round () = !armed

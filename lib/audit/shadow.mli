@@ -40,14 +40,3 @@ val compare :
 (** [observed] is the incremental store's (live set, signatures) view, or
     [None] on the rebuild backend — in which case only the recorded error
     is cross-checked against the re-derivation. *)
-
-(** {1 Self-test hook}
-
-    Arming a round number makes the engine deliberately corrupt one stored
-    signature immediately before that round's audit. The environment
-    variable [ACCALS_AUDIT_SELFTEST=N] arms it at program start; a
-    malformed value exits with code 2. *)
-
-val arm_selftest : round:int -> unit
-val disarm_selftest : unit -> unit
-val selftest_round : unit -> int option

@@ -79,24 +79,15 @@ type snapshot = {
    4: [Config.t] gained [max_memory_mb] and [Ladder.reason] gained
    [Resource_pressure]. *)
 let snapshot_version = 4
+let snapshot_tag = Printf.sprintf "accals-engine-v%d" snapshot_version
 
 let snapshot_round s = s.s_round
 let snapshot_finished s = s.s_finished
 let snapshot_circuit s = Network.name s.s_original
-let snapshot_metric s = s.s_metric
-let snapshot_error_bound s = s.s_error_bound
-let snapshot_jobs s = s.s_config.Config.jobs
 
 let patterns_for config net =
   Sim.for_network ~seed:config.Config.seed ~count:config.Config.samples
     ~exhaustive_limit:config.Config.exhaustive_limit net
-
-let golden_signatures ?config ?patterns net =
-  let config = match config with Some c -> c | None -> Config.for_network net in
-  let patterns =
-    match patterns with Some p -> p | None -> patterns_for config net
-  in
-  Evaluate.output_signatures net patterns
 
 (* Eq. (1): estimated error of applying a LAC set on a circuit with error e. *)
 let estimate_for e lacs =
@@ -310,10 +301,8 @@ let run_loop ?patterns ?pool ?checkpoint st =
       if due || anomaly then begin
         incr audits;
         Metrics.incr c_audits;
-        (match Shadow.selftest_round () with
-         | Some r when r = !round_index ->
-           ignore (Round_eval.corrupt_for_selftest ev)
-         | _ -> ());
+        if Accals_resilience.Fault.corrupts_audit ~round:!round_index then
+          ignore (Round_eval.corrupt_for_selftest ev);
         match
           phase "audit" (fun () -> Round_eval.audit ev ~recorded_error:!error)
         with

@@ -2,7 +2,6 @@
     improvement techniques). *)
 
 open Accals_network
-open Accals_bitvec
 module Metric := Accals_metrics.Metric
 module Ladder := Accals_audit.Ladder
 module Incident := Accals_audit.Incident
@@ -70,12 +69,14 @@ type snapshot
 val snapshot_version : int
 (** Stored inside every snapshot; {!resume} rejects mismatches. *)
 
+val snapshot_tag : string
+(** The {!Accals_resilience.Checkpoint} tag for persisted snapshots. It
+    carries {!snapshot_version}, so a snapshot of another layout is refused
+    as [Corrupt] before [Marshal] reads it. *)
+
 val snapshot_round : snapshot -> int
 val snapshot_finished : snapshot -> bool
 val snapshot_circuit : snapshot -> string
-val snapshot_metric : snapshot -> Metric.kind
-val snapshot_error_bound : snapshot -> float
-val snapshot_jobs : snapshot -> int
 
 val run :
   ?config:Config.t ->
@@ -124,8 +125,3 @@ val resume :
     it). The snapshot is not consumed: resuming the same snapshot twice
     yields identical reports. Raises [Invalid_argument] when the
     snapshot's version does not match {!snapshot_version}. *)
-
-val golden_signatures :
-  ?config:Config.t -> ?patterns:Sim.patterns -> Network.t -> Bitvec.t array
-(** The golden output signatures [run] scores against, for external
-    verification of a report. *)

@@ -110,11 +110,6 @@ let db_exn s =
 let sort_by_delta lacs =
   List.sort (fun a b -> compare a.Lac.delta_error b.Lac.delta_error) lacs
 
-let backend_kind t =
-  match t.backend with
-  | Rebuild _ -> `Rebuild
-  | Incremental _ -> `Incremental
-
 (* The incremental views are replaced wholesale at every refresh, so a view
    sized differently from the network it describes can only mean the
    database missed a change event — the watermark anomaly that forces an

@@ -27,10 +27,6 @@ val create :
     network itself. On the rebuild path commits replace the ref's content
     with a fresh copy, as the engine always did. *)
 
-val backend_kind : t -> [ `Incremental | `Rebuild ]
-(** The backend currently in use (it can change, see
-    {!degrade_to_rebuild}). *)
-
 val watermark_ok : t -> bool
 (** False when the incremental database's frozen views are inconsistent
     with the working circuit (a missed change event); always true on the

@@ -38,8 +38,6 @@ let set_tracker t f =
    | _ -> ());
   t.tracker <- f
 
-let has_tracker t = t.tracker <> None
-
 let notify t change =
   match t.tracker with None -> () | Some f -> f change
 

@@ -101,8 +101,6 @@ val set_tracker : t -> (change -> unit) option -> unit
     listener. A network with a tracker attached must not be marshaled —
     checkpoint a {!copy} instead. *)
 
-val has_tracker : t -> bool
-
 val truncate : t -> int -> unit
 (** [truncate t n] forgets every node with id >= [n] (undo support for
     speculatively added nodes). The caller must guarantee that no surviving

@@ -23,28 +23,28 @@ let rotate ~path ~keep =
       if Sys.file_exists src then Sys.rename src (rotated path (i + 1))
     done
 
-(* All durable I/O goes through Fault_io so chaos runs can make precisely
+(* All durable I/O goes through Fault so chaos runs can make precisely
    the Nth open/write/fsync/rename observe ENOSPC, EMFILE or a torn write.
    With no spec armed these are the plain stdlib calls. *)
 let save ?(keep = 1) ~path ~tag v =
   let payload = Marshal.to_bytes v [] in
   let crc = Crc32.digest_bytes payload in
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = Fault_io.open_out_bin tmp in
+  let oc = Fault.open_out_bin tmp in
   (try
-     Fault_io.output_string oc (header ~tag ~crc ~length:(Bytes.length payload));
+     Fault.output_string oc (header ~tag ~crc ~length:(Bytes.length payload));
      output_char oc '\n';
-     Fault_io.output_bytes oc payload;
+     Fault.output_bytes oc payload;
      flush oc;
      (* Land the bytes before the rename makes them the checkpoint. *)
-     Fault_io.fsync (Unix.descr_of_out_channel oc)
+     Fault.fsync (Unix.descr_of_out_channel oc)
    with e ->
      close_out_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   close_out oc;
   rotate ~path ~keep;
-  (try Fault_io.rename tmp path
+  (try Fault.rename tmp path
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);

@@ -1,54 +1,82 @@
-(** Deterministic fault injection for the parallel runtime.
+(** Deterministic fault injection: one grammar, one parser, one table of
+    sites.
 
-    A fault [spec] selects work units by a pure hash of [(seed, batch,
-    index)] — never by wall clock, scheduling order or domain identity — so
-    the set of injected faults is reproducible from the seed alone.  The
-    runtime's fan-out layer consults {!check} once per task attempt; a
-    selected unit either raises {!Injected} (simulating a crashed worker) or
-    stalls for a fixed duration (simulating a hung one).
+    A spec is a comma-separated list of fields:
 
-    Injection is disabled unless a spec is armed, either programmatically
-    ({!arm}) or through the [ACCALS_FAULTS] environment variable read at
-    program start.  The environment syntax is a comma-separated key:value
-    list, e.g. [ACCALS_FAULTS=seed:42,every:4,attempts:1] or
-    [ACCALS_FAULTS=seed:7,every:2,stall:0.002]. *)
+    {v
+      seed:N                 hash seed; required by any %K clause
+      attempts:N             task clauses fire only on attempts < N (default 1)
+      SITE:KIND SEL          a fault clause
 
-type mode =
-  | Raise  (** the selected task attempt raises {!Injected} *)
-  | Stall of float  (** the selected task attempt sleeps this many seconds *)
+      site                   kinds                  selectors
+      task                   raise | stall=SECONDS  %K, keyed on (seed, batch, index)
+      open|write|fsync|rename  enospc|emfile|short  @N | @N..M | %K, keyed on the
+                                                    site's occurrence count
+      audit                  corrupt                @N | @N..M: audited rounds
+    v}
 
-type spec = {
-  seed : int;  (** hash seed; equal seeds give equal fault sets *)
-  every : int;  (** inject into ~1/[every] of the units; [<= 1] means all *)
-  attempts : int;
-      (** inject only into attempt numbers [< attempts]; with the default 1
-          a retry of the same unit succeeds, with a large value the unit
-          fails persistently and retries exhaust *)
-  mode : mode;
-}
+    e.g. [seed:42,task:raise%4], [seed:7,task:stall=0.002%2],
+    [write:enospc@3], [open:emfile@1..4], [seed:9,rename:enospc%8],
+    [audit:corrupt@1].
+
+    Every decision is a pure function of the spec and of a key that does
+    not depend on scheduling, so a failing chaos run replays exactly:
+    - a [task] unit is selected by [(seed, batch, index)] — never by
+      occurrence order, wall clock or domain identity. A selected attempt
+      raises {!Injected} (a crashed worker) or sleeps (a hung one);
+    - the [open]/[write]/[fsync]/[rename] sites each count their governed
+      calls (1-based); [@N..M] selects occurrences N to M, [%K] one in K
+      keyed on [(seed, site, occurrence)]. An injected failure surfaces as
+      [Unix.Unix_error (ENOSPC | EMFILE, ...)]; a [short] write first lands
+      a prefix of its payload (a torn file), then raises [ENOSPC];
+    - an [audit] clause names the rounds whose shadow audit sees one
+      deliberately corrupted signature.
+
+    A spec is armed at program start from [ACCALS_FAULTS]; the clauses of
+    [ACCALS_SYSCALL_FAULTS], read by the same parser, are added to it (the
+    larger [attempts] wins). A malformed value of either variable is a
+    configuration error: the process prints a one-line diagnostic to
+    stderr and exits with code 2, rather than silently running without the
+    requested faults. *)
+
+type site = Open | Write | Rename | Fsync | Task | Audit
+
+type kind =
+  | Raise  (** task: the attempt raises {!Injected} *)
+  | Stall of float  (** task: the attempt sleeps this many seconds *)
+  | Enospc
+  | Emfile
+  | Short  (** write: land a prefix, then raise [ENOSPC] *)
+  | Corrupt  (** audit: corrupt one stored signature *)
+
+type sel =
+  | At of int * int  (** inclusive 1-based occurrence (audit: round) range *)
+  | Every of { seed : int; k : int }  (** one in [k], keyed on [seed] *)
+
+type clause = { site : site; kind : kind; sel : sel }
+type spec = { attempts : int; clauses : clause list }
 
 exception Injected of { batch : int; index : int; attempt : int }
 (** The simulated worker crash. Carries the logical batch serial, the task
     index within the batch and the attempt number (0 = first try). *)
 
-val default : seed:int -> spec
-(** [every = 4], [attempts = 1], [mode = Raise]. *)
-
 val parse : string -> (spec, string) result
-(** Parse the [ACCALS_FAULTS] syntax. [seed:N] is required; [every:N],
-    [attempts:N] and [stall:SECONDS] are optional. *)
+(** Parse the grammar above. A spec needs at least one clause. *)
 
-val arm : spec -> unit
-(** Enable injection process-wide (all pools, all domains). *)
-
-val disarm : unit -> unit
+val with_spec : string -> (unit -> 'a) -> 'a
+(** [with_spec s f] parses and arms [s] process-wide (all pools, all
+    domains), resets the occurrence counters and {!injected_count}, runs
+    [f], and re-arms the previous spec (or none) even if [f] raises.
+    Raises [Invalid_argument] if [s] does not parse. *)
 
 val current : unit -> spec option
-(** The armed spec, if any. At program start this is the parsed
-    [ACCALS_FAULTS] value. A malformed value (e.g. [seed:], [foo], a
-    negative count) is a configuration error: the process prints a one-line
-    diagnostic to stderr and exits with code 2 rather than silently running
-    without the requested fault injection. *)
+(** The armed spec, if any. *)
+
+val injected_count : unit -> int
+(** Faults injected at every site since process start or the last
+    {!with_spec}. *)
+
+(** {2 Task site} *)
 
 val fresh_batch : unit -> int
 (** Next logical batch serial. The fan-out layer draws one serial per
@@ -56,13 +84,23 @@ val fresh_batch : unit -> int
     submission, keeping the fault decision independent of retries. *)
 
 val check : batch:int -> index:int -> attempt:int -> unit
-(** Consulted once per task attempt. No-op when disarmed; otherwise raises
-    {!Injected} or stalls when the unit is selected by the armed spec. *)
+(** Consulted once per task attempt: one atomic read when nothing is armed;
+    otherwise raises {!Injected} or stalls when a [task] clause selects
+    the unit. *)
 
-val injected_count : unit -> int
-(** Total injections (raises and stalls) since the process started. *)
+(** {2 Audit site} *)
 
-val mix64 : int64 -> int64
-(** The splitmix64 finalizer behind fault selection, exposed so sibling
-    injectors ({!Fault_io}) key their deterministic decisions off the same
-    hash. *)
+val corrupts_audit : round:int -> bool
+(** Whether the shadow audit of [round] should see a corrupted signature. *)
+
+(** {2 Governed I/O}
+
+    Drop-in replacements for the stdlib/Unix calls on durable-write paths
+    (checkpoints, cache entries, incident logs). With no clause for their
+    site they are the plain calls. *)
+
+val open_out_bin : string -> out_channel
+val output_string : out_channel -> string -> unit
+val output_bytes : out_channel -> bytes -> unit
+val fsync : Unix.file_descr -> unit
+val rename : string -> string -> unit

@@ -147,7 +147,7 @@ let evict t ~max_bytes =
     }
   end
 
-module Fault_io = Accals_resilience.Fault_io
+module Fault = Accals_resilience.Fault
 
 let store ?(max_bytes = 0) t e =
   let final = path t e.key in
@@ -170,22 +170,22 @@ let store ?(max_bytes = 0) t e =
   let tmp =
     Filename.temp_file ~temp_dir:t.dir ("." ^ e.key) ".tmp"
   in
-  (* Durable I/O runs through [Fault_io] so chaos specs can hand this
+  (* Durable I/O runs through [Fault] so chaos specs can hand this
      path ENOSPC and torn writes; the temp file is removed on any
      failure, leaving the previous entry (if any) untouched. *)
   let oc =
-    try Fault_io.open_out_bin tmp
+    try Fault.open_out_bin tmp
     with ex ->
       (try Sys.remove tmp with Sys_error _ -> ());
       raise ex
   in
-  (try Fault_io.output_string oc payload
+  (try Fault.output_string oc payload
    with ex ->
      close_out_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise ex);
   close_out oc;
-  try Fault_io.rename tmp final
+  try Fault.rename tmp final
   with ex ->
     (try Sys.remove tmp with Sys_error _ -> ());
     raise ex

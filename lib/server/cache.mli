@@ -48,7 +48,7 @@ val store : ?max_bytes:int -> t -> entry -> unit
     eviction runs {e before} the write whenever the cache plus the new
     entry would exceed the cap, so the on-disk total never overshoots it
     — not even transiently. Writes go through
-    {!Accals_resilience.Fault_io}; on any failure (real or injected
+    {!Accals_resilience.Fault}; on any failure (real or injected
     [ENOSPC]/torn write) the temp file is removed and the previous entry
     for the key, if any, survives intact. *)
 

@@ -178,7 +178,12 @@ type t = {
 
 exception Job_cancelled
 
-let queue_tag = "serve-queue"
+(* The queue checkpoint is a marshalled [Protocol.job_spec list]; bump
+   [queue_version] whenever that layout changes, so an older checkpoint is
+   refused by its tag before [Marshal] reads it. 2: [job_spec] gained
+   [trace_id] and [client_ts]. *)
+let queue_version = 2
+let queue_tag = Printf.sprintf "serve-queue-v%d" queue_version
 
 let log t fmt =
   Printf.ksprintf

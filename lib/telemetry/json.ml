@@ -78,8 +78,6 @@ let rec to_buffer_at buf indent v =
     pad indent;
     Buffer.add_char buf '}'
 
-let to_buffer buf v = to_buffer_at buf (-1) v
-
 let to_string ?(pretty = false) v =
   let buf = Buffer.create 256 in
   to_buffer_at buf (if pretty then 0 else -1) v;

@@ -22,8 +22,6 @@ val to_string : ?pretty:bool -> t -> string
 (** Compact one-line encoding by default; [~pretty:true] indents with two
     spaces per level (stable, diff-friendly). *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val write_file : string -> t -> unit
 (** Write [to_string ~pretty:true] plus a trailing newline. *)
 

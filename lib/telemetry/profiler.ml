@@ -172,6 +172,11 @@ let dropped t = t.dropped
 let sanitize_frame s =
   String.map (fun c -> match c with ' ' -> '_' | ';' -> ':' | c -> c) s
 
+(* The innermost frames are the sampler itself ([tick] calling
+   [get_callstack]); they are dropped so every row ends in the code that
+   was interrupted. *)
+let own_frame = String.starts_with ~prefix:(__MODULE__ ^ ".")
+
 let frames_of_stack bt =
   match Printexc.backtrace_slots bt with
   | None -> [ "[no-debug-info]" ]
@@ -190,7 +195,11 @@ let frames_of_stack bt =
                          l.Printexc.line_number))
                | None -> None))
     in
-    if names = [] then [ "[unknown]" ] else names
+    let rec drop_own = function
+      | n :: rest when own_frame n -> drop_own rest
+      | l -> l
+    in
+    match drop_own names with [] -> [ "[unknown]" ] | names -> names
 
 let folded t =
   let tbl = Hashtbl.create 64 in

@@ -179,23 +179,33 @@ let test_fault_spec_rejection () =
   in
   List.iter rejected
     [
-      "seed:";                (* empty value *)
-      "foo";                  (* not key:value, no seed *)
-      "seed:abc";             (* non-integer *)
-      "seed:1,every:-3";      (* negative cadence *)
-      "seed:1,every:0";
-      "seed:1,attempts:0";
-      "seed:1,attempts:-1";
-      "seed:1,stall:-0.5";    (* negative stall *)
-      "seed:1,mode:explode";  (* unknown mode *)
-      "seed:1,frobnicate:9";  (* unknown key *)
-      "every:2";              (* missing seed *)
+      "seed:";                          (* empty value *)
+      "foo";                            (* not key:value *)
+      "seed:abc,task:raise%4";          (* non-integer seed *)
+      "seed:1,task:raise%-3";           (* negative period *)
+      "seed:1,task:raise%0";
+      "seed:1,attempts:0,task:raise%4";
+      "seed:1,attempts:-1,task:raise%4";
+      "seed:1,task:stall=-0.5%2";       (* negative stall *)
+      "seed:1,task:stall=-1%2";
+      "seed:1,task:explode%2";          (* unknown kind *)
+      "seed:1,frobnicate:raise%9";      (* unknown site *)
+      "task:raise%4";                   (* missing seed *)
+      "task:raise@3";                   (* tasks are not occurrence-keyed *)
+      "audit:corrupt%2";                (* audits select rounds by @ *)
+      "audit:corrupt@banana";
+      "audit:corrupt@0";
+      "seed:42";                        (* no clause *)
     ];
   (* The boundary cases stay accepted. *)
   check "seed:0 accepted" true
-    (match Fault.parse "seed:0" with Ok _ -> true | Error _ -> false);
+    (match Fault.parse "seed:0,task:raise%4" with Ok _ -> true | Error _ -> false);
   check "negative seed accepted" true
-    (match Fault.parse "seed:-7" with Ok _ -> true | Error _ -> false)
+    (match Fault.parse "seed:-7,task:raise%4" with Ok _ -> true | Error _ -> false);
+  check "period 1 accepted" true
+    (match Fault.parse "seed:1,attempts:1000,task:raise%1" with
+    | Ok _ -> true
+    | Error _ -> false)
 
 (* --- Degradation ladder --- *)
 
@@ -383,10 +393,6 @@ let decision_fingerprint (r : Engine.report) =
     List.map round_key r.Engine.rounds,
     r.Engine.exact_evaluations )
 
-let with_selftest round f =
-  Shadow.arm_selftest ~round;
-  Fun.protect ~finally:Shadow.disarm_selftest f
-
 let test_engine_divergence_fallback () =
   let net = Accals_circuits.Bench_suite.load "mtp8" in
   let reference =
@@ -395,7 +401,7 @@ let test_engine_divergence_fallback () =
   in
   let snapshots = ref [] in
   let diverged =
-    with_selftest 1 (fun () ->
+    Fault.with_spec "audit:corrupt@1" (fun () ->
         Engine.run
           ~config:(small_config ~audit_every:1 net)
           ~checkpoint:(fun s -> snapshots := s :: !snapshots)

@@ -148,6 +148,30 @@ let test_profiler_sampling () =
   let p2 = Profiler.start ~hz:97 ~mode:Profiler.Wall () in
   Profiler.stop p2
 
+(* The sampler's own frames (the signal handler calling get_callstack)
+   sit innermost in every captured stack; a folded row must end in the
+   interrupted code, not in the profiler. *)
+let test_profiler_strips_own_frames () =
+  let p = Profiler.start ~hz:251 ~mode:Profiler.Wall () in
+  burn 0.3;
+  Profiler.stop p;
+  let rows =
+    String.split_on_char '\n' (Profiler.folded p)
+    |> List.filter (fun r -> String.length r > 5 && String.sub r 0 5 = "main;")
+  in
+  check "main rows captured" true (rows <> []);
+  List.iter
+    (fun row ->
+      let stack = String.sub row 0 (String.rindex row ' ') in
+      let leaf =
+        match String.rindex_opt stack ';' with
+        | Some i -> String.sub stack (i + 1) (String.length stack - i - 1)
+        | None -> stack
+      in
+      if contains leaf "Profiler" then
+        Alcotest.failf "folded row ends in a profiler frame: %S" row)
+    rows
+
 let synth_blif () =
   let net = Bench_suite.load "mtp8" in
   let base = { Config.default with Config.samples = 128; seed = 1; jobs = 1 } in
@@ -401,6 +425,8 @@ let suite =
         Alcotest.test_case "prometheus escaping" `Quick
           test_prometheus_escaping;
         Alcotest.test_case "profiler sampling" `Quick test_profiler_sampling;
+        Alcotest.test_case "profiler strips its own frames" `Quick
+          test_profiler_strips_own_frames;
         Alcotest.test_case "profiler determinism" `Slow
           test_profiler_determinism;
         Alcotest.test_case "slo spec validation" `Quick

@@ -4,7 +4,6 @@
 
 open Accals_network
 module Fault = Accals_resilience.Fault
-module Fault_io = Accals_resilience.Fault_io
 module Budget = Accals_resilience.Budget
 module Watchdog = Accals_resilience.Watchdog
 module Checkpoint = Accals_resilience.Checkpoint
@@ -19,45 +18,49 @@ module Metric = Accals_metrics.Metric
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_str = Alcotest.(check string)
 
-(* Every fault test disarms on exit so the rest of the suite is unaffected
-   (unless ACCALS_FAULTS re-arms the whole process, which the CI fault job
-   relies on). *)
-let with_faults spec f =
-  let before = Fault.current () in
-  Fault.arm spec;
-  Fun.protect
-    ~finally:(fun () ->
-      match before with Some s -> Fault.arm s | None -> Fault.disarm ())
-    f
+(* Every fault test arms through [Fault.with_spec], which restores the
+   previous spec on exit so the rest of the suite is unaffected (unless
+   ACCALS_FAULTS arms the whole process, which the CI fault job relies
+   on). *)
+
+let spec s =
+  match Fault.parse s with
+  | Ok spec -> spec
+  | Error e -> Alcotest.failf "spec %S rejected: %s" s e
+
+let rejected s = match Fault.parse s with Error _ -> true | Ok _ -> false
 
 (* --- Fault spec parsing and selection determinism --- *)
 
 let test_fault_parse () =
-  (match Fault.parse "seed:42" with
-  | Ok s ->
-    check_int "seed" 42 s.Fault.seed;
-    check_int "default every" 4 s.Fault.every;
-    check_int "default attempts" 1 s.Fault.attempts;
-    check "default mode" true (s.Fault.mode = Fault.Raise)
-  | Error e -> Alcotest.failf "seed:42 rejected: %s" e);
-  (match Fault.parse "seed:7,every:2,attempts:3,stall:0.5" with
-  | Ok s ->
-    check_int "every" 2 s.Fault.every;
-    check_int "attempts" 3 s.Fault.attempts;
-    check "stall mode" true (s.Fault.mode = Fault.Stall 0.5)
-  | Error e -> Alcotest.failf "full spec rejected: %s" e);
-  check "missing seed rejected" true
-    (match Fault.parse "every:2" with Error _ -> true | Ok _ -> false);
-  check "bad key rejected" true
-    (match Fault.parse "seed:1,frobnicate:9" with
-    | Error _ -> true
-    | Ok _ -> false);
-  check "garbage rejected" true
-    (match Fault.parse "%%%" with Error _ -> true | Ok _ -> false)
+  let s = spec "seed:42,task:raise%4" in
+  check_int "default attempts" 1 s.Fault.attempts;
+  check "task clause" true
+    (s.Fault.clauses
+    = [ { Fault.site = Fault.Task; kind = Fault.Raise;
+          sel = Fault.Every { seed = 42; k = 4 } } ]);
+  check "seed may follow the clause" true (spec "task:raise%4,seed:42" = s);
+  let s = spec "seed:7,attempts:3,task:stall=0.5%2" in
+  check_int "attempts" 3 s.Fault.attempts;
+  check "stall clause" true
+    (s.Fault.clauses
+    = [ { Fault.site = Fault.Task; kind = Fault.Stall 0.5;
+          sel = Fault.Every { seed = 7; k = 2 } } ]);
+  check "audit clause" true
+    ((spec "audit:corrupt@2..3").Fault.clauses
+    = [ { Fault.site = Fault.Audit; kind = Fault.Corrupt; sel = Fault.At (2, 3) } ]);
+  check "missing seed rejected" true (rejected "task:raise%4");
+  check "bad site rejected" true (rejected "seed:1,frobnicate:raise%9");
+  check "task by occurrence rejected" true (rejected "task:raise@3");
+  check "audit by period rejected" true (rejected "audit:corrupt%2");
+  check "negative stall rejected" true (rejected "seed:1,task:stall=-1%2");
+  check "kind of another site rejected" true (rejected "write:raise@1");
+  check "garbage rejected" true (rejected "%%%")
 
-let selected spec ~batch ~count ~attempt =
-  with_faults spec (fun () ->
+let selected spec_s ~batch ~count ~attempt =
+  Fault.with_spec spec_s (fun () ->
       List.filter
         (fun i ->
           match Fault.check ~batch ~index:i ~attempt with
@@ -66,60 +69,103 @@ let selected spec ~batch ~count ~attempt =
         (List.init count (fun i -> i)))
 
 let test_fault_deterministic_selection () =
-  let spec = Fault.default ~seed:42 in
+  let spec = "seed:42,task:raise%4" in
   let a = selected spec ~batch:5 ~count:200 ~attempt:0 in
   let b = selected spec ~batch:5 ~count:200 ~attempt:0 in
   check "same (seed,batch) -> same fault set" true (a = b);
-  check "roughly 1/every units selected" true
+  check "roughly 1/K units selected" true
     (let n = List.length a in
      n > 20 && n < 80);
   let other_batch = selected spec ~batch:6 ~count:200 ~attempt:0 in
   check "different batch -> different fault set" true (a <> other_batch);
-  let other_seed = selected (Fault.default ~seed:43) ~batch:5 ~count:200 ~attempt:0 in
+  let other_seed =
+    selected "seed:43,task:raise%4" ~batch:5 ~count:200 ~attempt:0
+  in
   check "different seed -> different fault set" true (a <> other_seed);
   (* attempts:1 means only attempt 0 is faulted: a retry succeeds. *)
   check "retry attempt not faulted" true
     (selected spec ~batch:5 ~count:200 ~attempt:1 = [])
 
-(* --- Syscall-level fault injection (Fault_io) --- *)
+(* Decision vectors recorded before the task and syscall injectors were
+   merged into one registry: bit i (LSB first within each hex digit) is
+   the decision for task index i, resp. for governed write i + 1. Any
+   change here changes every recorded fault set. *)
+let pinned_tasks =
+  [
+    "880090003440008002815290c0408b08002000602d52e80683";
+    "0519208230e0a800a19981102326ca22405107900810888649";
+    "8809d40210c0012334008102908a0e00812a48040a0b3e0121";
+    "2c2008e904502307c03045200104744020000412711a300409";
+    "24004aa0400d00408021a00842010808081083101002100089";
+    "000012a00560081c8822b048000208050070901814202e00b7";
+    "900201048a13180130001141a1928424a200300002891a0940";
+    "0c340940000190008200e0c0090280000631081a21401b5008";
+    "4818082a8184010ae06500200a0800015402003028c8128040";
+    "ac48070b0286862020842628c0400a18400d45500104004010";
+  ]
 
-let with_io_faults spec f =
-  let before = Fault_io.current () in
-  Fault_io.arm spec;
-  Fun.protect
-    ~finally:(fun () ->
-      match before with
-      | Some s -> Fault_io.arm s
-      | None -> Fault_io.disarm ())
-    f
+let pinned_writes = "3a1805600405860028150210080023101008e0a080c0815200"
 
-let io_spec s =
-  match Fault_io.parse s with
-  | Ok spec -> spec
-  | Error e -> Alcotest.failf "spec %S rejected: %s" s e
+let hex_of_bits bits =
+  String.init
+    ((List.length bits + 3) / 4)
+    (fun d ->
+      let v = ref 0 in
+      List.iteri (fun i b -> if b && i / 4 = d then v := !v lor (1 lsl (i mod 4))) bits;
+      "0123456789abcdef".[!v])
 
-let test_fault_io_parse () =
-  let one = io_spec "write:enospc@3" in
-  check "single occurrence clause" true
-    (one.Fault_io.clauses
-    = [ { Fault_io.site = Fault_io.Write; kind = Fault_io.Enospc;
-          sel = `At (3, 3) } ]);
-  let range = io_spec "open:emfile@1..4" in
-  check "range clause" true
-    (range.Fault_io.clauses
-    = [ { Fault_io.site = Fault_io.Open; kind = Fault_io.Emfile;
-          sel = `At (1, 4) } ]);
-  let prob = io_spec "seed:9,rename:enospc%8" in
-  check_int "seed carried" 9 prob.Fault_io.seed;
-  check "probabilistic clause" true
-    (prob.Fault_io.clauses
-    = [ { Fault_io.site = Fault_io.Rename; kind = Fault_io.Enospc;
-          sel = `Every 8 } ]);
-  check "multi-clause spec" true
-    (List.length (io_spec "write:short@2,fsync:enospc@1").Fault_io.clauses = 2);
-  let rejected s =
-    match Fault_io.parse s with Error _ -> true | Ok _ -> false
+let test_fault_pinned_vectors () =
+  List.iteri
+    (fun batch want ->
+      let hits = selected "seed:42,task:raise%4" ~batch ~count:200 ~attempt:0 in
+      check_str
+        (Printf.sprintf "task batch %d" batch)
+        want
+        (hex_of_bits (List.init 200 (fun i -> List.mem i hits))))
+    pinned_tasks;
+  let writes =
+    Fault.with_spec "seed:7,write:enospc%5" (fun () ->
+        let oc = Fault.open_out_bin "/dev/null" in
+        Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+            List.init 200 (fun _ ->
+                match Fault.output_string oc "x" with
+                | () -> false
+                | exception Unix.Unix_error (Unix.ENOSPC, _, _) -> true)))
   in
+  check_str "writes 1-200" pinned_writes (hex_of_bits writes)
+
+let test_fault_with_spec_restores () =
+  let before = Fault.current () in
+  (match
+     Fault.with_spec "audit:corrupt@1" (fun () ->
+         check "armed inside" true
+           (Fault.current () = Some (spec "audit:corrupt@1"));
+         failwith "boom")
+   with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  check "previous spec restored after a raise" true (Fault.current () = before);
+  check "malformed spec refused" true
+    (match Fault.with_spec "task:raise@1" Fun.id with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
+(* --- Syscall sites --- *)
+
+let test_syscall_fault_parse () =
+  let clauses s = (spec s).Fault.clauses in
+  check "single occurrence clause" true
+    (clauses "write:enospc@3"
+    = [ { Fault.site = Fault.Write; kind = Fault.Enospc; sel = Fault.At (3, 3) } ]);
+  check "range clause" true
+    (clauses "open:emfile@1..4"
+    = [ { Fault.site = Fault.Open; kind = Fault.Emfile; sel = Fault.At (1, 4) } ]);
+  check "probabilistic clause carries the seed" true
+    (clauses "seed:9,rename:enospc%8"
+    = [ { Fault.site = Fault.Rename; kind = Fault.Enospc;
+          sel = Fault.Every { seed = 9; k = 8 } } ]);
+  check "multi-clause spec" true
+    (List.length (clauses "write:short@2,fsync:enospc@1") = 2);
   check "% without seed rejected" true (rejected "write:enospc%4");
   check "unknown site rejected" true (rejected "frobnicate:enospc@1");
   check "unknown kind rejected" true (rejected "write:eio@1");
@@ -128,45 +174,46 @@ let test_fault_io_parse () =
   check "bare seed rejected" true (rejected "seed:3");
   check "garbage rejected" true (rejected "%%%")
 
-let test_fault_io_occurrence_counting () =
+let test_syscall_fault_occurrence_counting () =
   let tmp = Filename.temp_file "accals_fio" ".txt" in
   Fun.protect ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
   @@ fun () ->
   let write_n oc n =
     List.init n (fun i ->
-        match Fault_io.output_string oc (Printf.sprintf "line%d\n" i) with
+        match Fault.output_string oc (Printf.sprintf "line%d\n" i) with
         | () -> false
         | exception Unix.Unix_error (Unix.ENOSPC, _, _) -> true)
   in
-  with_io_faults (io_spec "write:enospc@2") (fun () ->
-      let oc = Fault_io.open_out_bin tmp in
+  Fault.with_spec "write:enospc@2" (fun () ->
+      let oc = Fault.open_out_bin tmp in
       let hits = write_n oc 4 in
       close_out_noerr oc;
       check "exactly the 2nd governed write fails" true
         (hits = [ false; true; false; false ]);
-      check_int "one injection recorded" 1 (Fault_io.injected_count ());
+      check_int "one injection recorded" 1 (Fault.injected_count ());
       (* Re-arming resets the per-site occurrence counters. *)
-      Fault_io.arm (io_spec "write:enospc@2");
-      let oc = Fault_io.open_out_bin tmp in
-      check "counter reset on arm" true
-        (write_n oc 3 = [ false; true; false ]);
-      close_out_noerr oc);
+      Fault.with_spec "write:enospc@2" (fun () ->
+          let oc = Fault.open_out_bin tmp in
+          check "counter reset on arm" true
+            (write_n oc 3 = [ false; true; false ]);
+          close_out_noerr oc));
   (* Disarmed wrappers are the plain calls. *)
-  let oc = Fault_io.open_out_bin tmp in
-  Fault_io.output_string oc "clean";
-  close_out oc;
-  check "disarmed write lands" true
+  Fault.with_spec "audit:corrupt@1" (fun () ->
+      let oc = Fault.open_out_bin tmp in
+      Fault.output_string oc "clean";
+      close_out oc);
+  check "write with no write clause lands" true
     (In_channel.with_open_bin tmp In_channel.input_all = "clean")
 
-let test_fault_io_short_write_is_torn () =
+let test_syscall_fault_short_write_is_torn () =
   let tmp = Filename.temp_file "accals_fio_torn" ".txt" in
   Fun.protect ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
   @@ fun () ->
   let payload = "0123456789abcdef" in
-  with_io_faults (io_spec "write:short@1") (fun () ->
-      let oc = Fault_io.open_out_bin tmp in
+  Fault.with_spec "write:short@1" (fun () ->
+      let oc = Fault.open_out_bin tmp in
       check "short write raises ENOSPC" true
-        (match Fault_io.output_string oc payload with
+        (match Fault.output_string oc payload with
         | () -> false
         | exception Unix.Unix_error (Unix.ENOSPC, _, _) -> true);
       close_out_noerr oc);
@@ -176,26 +223,26 @@ let test_fault_io_short_write_is_torn () =
     && String.length on_disk < String.length payload
     && on_disk = String.sub payload 0 (String.length on_disk))
 
-let test_fault_io_probabilistic_determinism () =
+let test_syscall_fault_probabilistic_determinism () =
   let run spec =
-    with_io_faults spec (fun () ->
-        let oc = Fault_io.open_out_bin "/dev/null" in
+    Fault.with_spec spec (fun () ->
+        let oc = Fault.open_out_bin "/dev/null" in
         let hits =
           List.init 64 (fun _ ->
-              match Fault_io.output_string oc "x" with
+              match Fault.output_string oc "x" with
               | () -> false
               | exception Unix.Unix_error (Unix.ENOSPC, _, _) -> true)
         in
         close_out_noerr oc;
         hits)
   in
-  let a = run (io_spec "seed:5,write:enospc%4") in
+  let a = run "seed:5,write:enospc%4" in
   check "some faults injected" true (List.exists Fun.id a);
   check "not every write faulted" true (List.exists not a);
   check "same seed -> same fault positions" true
-    (a = run (io_spec "seed:5,write:enospc%4"));
+    (a = run "seed:5,write:enospc%4");
   check "different seed -> different positions" true
-    (a <> run (io_spec "seed:6,write:enospc%4"))
+    (a <> run "seed:6,write:enospc%4")
 
 (* Checkpoints under injected faults: whatever fails — open, write, torn
    write, fsync, rename — the previous checkpoint must survive intact and
@@ -214,7 +261,7 @@ let test_checkpoint_survives_injected_faults () =
   in
   List.iter
     (fun spec_s ->
-      with_io_faults (io_spec spec_s) (fun () ->
+      Fault.with_spec spec_s (fun () ->
           check (spec_s ^ " raises") true
             (match Checkpoint.save ~path ~tag:"t" ([ 9 ], "v2") with
             | () -> false
@@ -356,9 +403,7 @@ let test_fanout_transient_recovery () =
       let expect = Array.map (fun i -> (i * 7) + 1) arr in
       let clean = Fan_out.map_array pool ~f:(fun i -> (i * 7) + 1) arr in
       check "fault-free baseline" true (clean = expect);
-      with_faults
-        { (Fault.default ~seed:42) with Fault.every = 3 }
-        (fun () ->
+      Fault.with_spec "seed:42,task:raise%3" (fun () ->
           let before = Fault.injected_count () in
           let got = Fan_out.map_array pool ~f:(fun i -> (i * 7) + 1) arr in
           check "faults were actually injected" true
@@ -367,9 +412,7 @@ let test_fanout_transient_recovery () =
 
 let test_fanout_exhausted_retries () =
   Pool.with_pool ~jobs:2 (fun pool ->
-      with_faults
-        { (Fault.default ~seed:1) with Fault.every = 1; Fault.attempts = 1000 }
-        (fun () ->
+      Fault.with_spec "seed:1,attempts:1000,task:raise%1" (fun () ->
           match Fan_out.map_array pool ~f:(fun i -> i) (Array.init 5 Fun.id) with
           | _ -> Alcotest.fail "persistent faults must raise Runtime_failure"
           | exception Fan_out.Runtime_failure { attempts; failed; _ } ->
@@ -379,13 +422,7 @@ let test_fanout_exhausted_retries () =
 
 let test_fanout_stall_mode () =
   Pool.with_pool ~jobs:3 (fun pool ->
-      with_faults
-        {
-          (Fault.default ~seed:9) with
-          Fault.every = 5;
-          Fault.mode = Fault.Stall 0.001;
-        }
-        (fun () ->
+      Fault.with_spec "seed:9,task:stall=0.001%5" (fun () ->
           let arr = Array.init 50 (fun i -> i) in
           check "stalled workers still finish correctly" true
             (Fan_out.map_array pool ~f:(fun i -> i * 2) arr
@@ -422,7 +459,7 @@ let test_engine_with_faults_identical () =
       ~error_bound:0.03
   in
   let faulted =
-    with_faults (Fault.default ~seed:42) (fun () ->
+    Fault.with_spec "seed:42,task:raise%4" (fun () ->
         Engine.run ~config:(small_config ~jobs:3 net) net
           ~metric:Metric.Error_rate ~error_bound:0.03)
   in
@@ -527,6 +564,56 @@ let test_resume_through_checkpoint_file () =
       (Engine.snapshot_circuit snap = Network.name net);
     check "resume from disk reproduces the report" true
       (report_fingerprint (Engine.resume snap) = report_fingerprint clean)
+
+(* A snapshot saved under a tag without the layout version, as binaries
+   before the tag carried it wrote, is refused before [Marshal] reads it:
+   the resume scan skips it with a checkpoint_corrupt incident and resumes
+   from the previous generation. *)
+let test_resume_skips_old_tag_snapshot () =
+  let net = Accals_circuits.Bench_suite.load "mtp8" in
+  let path = temp_ckpt () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; Checkpoint.rotated path 1 ])
+  @@ fun () ->
+  let snaps = ref [] in
+  let clean =
+    Engine.run ~config:(small_config net)
+      ~checkpoint:(fun s -> snaps := s :: !snaps)
+      net ~metric:Metric.Error_rate ~error_bound:0.03
+  in
+  match !snaps with
+  | latest :: older :: _ ->
+    Checkpoint.save ~keep:2 ~path ~tag:Engine.snapshot_tag older;
+    Checkpoint.save ~keep:2 ~path ~tag:"accals-engine" latest;
+    let incidents = ref [] in
+    let found =
+      Checkpoint.load_rotated ~path ~tag:Engine.snapshot_tag ~keep:2
+        ~on_corrupt:(fun ~path detail ->
+          incidents :=
+            Incident.make ~round:0 (Incident.Checkpoint_corrupt { path; detail })
+            :: !incidents)
+        ()
+    in
+    check "old-tag generation reported" true
+      (List.map
+         (fun i ->
+           (Incident.kind_name i,
+            match i.Incident.kind with
+            | Incident.Checkpoint_corrupt { path; _ } -> path
+            | _ -> ""))
+         !incidents
+      = [ ("checkpoint_corrupt", path) ]);
+    (match found with
+     | Some (snap, from) ->
+       check "resumed from the previous generation" true
+         (from = Checkpoint.rotated path 1);
+       check "resume reproduces the report" true
+         (report_fingerprint (Engine.resume snap) = report_fingerprint clean)
+     | None -> Alcotest.fail "intact generation not found")
+  | _ -> Alcotest.fail "run emitted fewer than two snapshots"
 
 (* --- Watchdogs --- *)
 
@@ -652,18 +739,22 @@ let suite =
     ( "resilience faults",
       [
         Alcotest.test_case "spec parsing" `Quick test_fault_parse;
+        Alcotest.test_case "pinned selection vectors" `Quick
+          test_fault_pinned_vectors;
+        Alcotest.test_case "with_spec restores on raise" `Quick
+          test_fault_with_spec_restores;
         Alcotest.test_case "deterministic selection" `Quick
           test_fault_deterministic_selection;
       ] );
     ( "resilience syscall faults",
       [
-        Alcotest.test_case "spec parsing" `Quick test_fault_io_parse;
+        Alcotest.test_case "spec parsing" `Quick test_syscall_fault_parse;
         Alcotest.test_case "per-site occurrence counting" `Quick
-          test_fault_io_occurrence_counting;
+          test_syscall_fault_occurrence_counting;
         Alcotest.test_case "short write tears the file" `Quick
-          test_fault_io_short_write_is_torn;
+          test_syscall_fault_short_write_is_torn;
         Alcotest.test_case "probabilistic clauses deterministic" `Quick
-          test_fault_io_probabilistic_determinism;
+          test_syscall_fault_probabilistic_determinism;
         Alcotest.test_case "checkpoint survives every fault site" `Quick
           test_checkpoint_survives_injected_faults;
       ] );
@@ -699,6 +790,8 @@ let suite =
           test_checkpoint_missing_and_corrupt;
         Alcotest.test_case "resume at every round is bit-identical" `Slow
           test_resume_every_round;
+        Alcotest.test_case "old-tag snapshot skipped on resume" `Quick
+          test_resume_skips_old_tag_snapshot;
         Alcotest.test_case "resume through a checkpoint file" `Quick
           test_resume_through_checkpoint_file;
       ] );

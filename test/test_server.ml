@@ -446,13 +446,7 @@ let test_cache_store_evicts_at_cap () =
     (Sys.file_exists (file "b") && Sys.file_exists (file "c")
     && Sys.file_exists (file "d"))
 
-module Fault_io = Accals_resilience.Fault_io
-
-let with_io_faults spec_s f =
-  (match Fault_io.parse spec_s with
-  | Ok spec -> Fault_io.arm spec
-  | Error e -> Alcotest.failf "bad fault spec %S: %s" spec_s e);
-  Fun.protect ~finally:Fault_io.disarm f
+module Fault = Accals_resilience.Fault
 
 (* A store that hits ENOSPC (real or injected) must leave the previous
    entry for the key intact and no temp residue — the caller's
@@ -466,7 +460,7 @@ let test_cache_store_enospc_keeps_old_entry () =
   Cache.store cache (entry "k" "v1");
   List.iter
     (fun spec ->
-      with_io_faults spec (fun () ->
+      Fault.with_spec spec (fun () ->
           check (spec ^ " surfaces as Unix_error") true
             (match Cache.store cache (entry "k" "v2") with
             | () -> false
@@ -758,17 +752,17 @@ let test_graceful_flush_under_write_failure () =
     (fun spec ->
       let hits = ref [] in
       let failed = ref false in
-      with_io_faults spec (fun () ->
+      Fault.with_spec spec (fun () ->
           Graceful.on_shutdown "sink-late" (fun () ->
               hits := "sink-late" :: !hits);
           Graceful.on_shutdown "flaky-flush" (fun () ->
               let oc =
-                Fault_io.open_out_bin (Filename.concat dir "flush.out")
+                Fault.open_out_bin (Filename.concat dir "flush.out")
               in
               Fun.protect
                 ~finally:(fun () -> close_out_noerr oc)
                 (fun () ->
-                  try Fault_io.output_string oc "final telemetry\n"
+                  try Fault.output_string oc "final telemetry\n"
                   with e ->
                     failed := true;
                     raise e));
@@ -1443,6 +1437,40 @@ let test_daemon_restart_admission () =
   Domain.join daemon2;
   Client.close c2
 
+(* A queue checkpoint written under the unversioned tag, as daemons before
+   the tag carried the [job_spec] layout version wrote, is refused before
+   [Marshal] reads it: the restart logs it and admits nothing. *)
+let test_daemon_restart_ignores_old_queue_tag () =
+  let dir = temp_dir "accals_daemon_oldq" in
+  let sock = Filename.concat dir "t.sock" in
+  let state_dir = Filename.concat dir "state" in
+  Unix.mkdir state_dir 0o755;
+  Accals_resilience.Checkpoint.save
+    ~path:(Filename.concat state_dir "queue.ckpt")
+    ~tag:"serve-queue"
+    [ e2e_spec ~tenant:"r" "rca32" 0.05 ];
+  let server, daemon =
+    boot_server
+      {
+        Server.default_config with
+        Server.socket = sock;
+        jobs = 1;
+        state_dir = Some state_dir;
+        default_samples = e2e_samples;
+        log = false;
+      }
+  in
+  let c = Client.connect_unix_retry sock in
+  let l = ok_exn "list" (Client.rpc c Protocol.List) in
+  (match Json.member "jobs" l with
+  | Some (Json.List jobs) ->
+    check_int "nothing restored from an old-tag checkpoint" 0
+      (List.length jobs)
+  | _ -> Alcotest.fail "list endpoint");
+  Server.stop server;
+  Domain.join daemon;
+  Client.close c
+
 let suite =
   [
     ( "server digest",
@@ -1520,5 +1548,7 @@ let suite =
           `Quick test_daemon_fd_governor_sheds;
         Alcotest.test_case "restart re-admits through admission control" `Slow
           test_daemon_restart_admission;
+        Alcotest.test_case "old-tag queue checkpoint ignored" `Quick
+          test_daemon_restart_ignores_old_queue_tag;
       ] );
   ]
