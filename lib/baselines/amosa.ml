@@ -9,6 +9,7 @@ module Engine = Accals.Engine
 module Trace = Accals.Trace
 module Conflict_graph = Accals.Conflict_graph
 module Round_eval = Accals.Round_eval
+module Clock = Accals_telemetry.Clock
 
 type config = {
   iterations_per_round : int;
@@ -55,7 +56,7 @@ let run ?config ?(amosa = default_config) ?patterns ?pool net ~metric
       Sim.for_network ~seed:config.Config.seed ~count:config.Config.samples
         ~exhaustive_limit:config.Config.exhaustive_limit net
   in
-  let started = Unix.gettimeofday () in
+  let started = Clock.now () in
   Fun.protect
     ~finally:(fun () -> if owned_pool then Accals_runtime.Pool.shutdown dpool)
   @@ fun () ->
@@ -215,7 +216,7 @@ let run ?config ?(amosa = default_config) ?patterns ?pool net ~metric
       metric;
       error_bound;
       rounds = List.rev !rounds;
-      runtime_seconds = Unix.gettimeofday () -. started;
+      runtime_seconds = Clock.now () -. started;
       exact_evaluations = !evaluations;
       area_ratio = Cost.area approximate /. area0;
       delay_ratio = Cost.delay approximate /. delay0;

@@ -8,6 +8,7 @@ module Engine = Accals.Engine
 module Trace = Accals.Trace
 module Round_eval = Accals.Round_eval
 module Telemetry = Accals_telemetry.Telemetry
+module Clock = Accals_telemetry.Clock
 module Metrics = Accals_telemetry.Metrics
 module Tjson = Accals_telemetry.Json
 
@@ -29,7 +30,7 @@ let run ?config ?patterns ?shortlist ?pool net ~metric ~error_bound =
       Sim.for_network ~seed:config.Config.seed ~count:config.Config.samples
         ~exhaustive_limit:config.Config.exhaustive_limit net
   in
-  let started = Unix.gettimeofday () in
+  let started = Clock.now () in
   Telemetry.with_span ~cat:"baseline"
     ~args:[ ("circuit", Tjson.String (Network.name net)) ]
     "seals.run"
@@ -118,7 +119,7 @@ let run ?config ?patterns ?shortlist ?pool net ~metric ~error_bound =
     metric;
     error_bound;
     rounds = List.rev !rounds;
-    runtime_seconds = Unix.gettimeofday () -. started;
+    runtime_seconds = Clock.now () -. started;
     exact_evaluations = !evaluations;
     area_ratio = Cost.area approximate /. area0;
     delay_ratio = Cost.delay approximate /. delay0;

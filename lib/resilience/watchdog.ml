@@ -1,10 +1,12 @@
+module Clock = Accals_telemetry.Clock
+
 type t = { started : float; budget : float option }
 
-let start budget = { started = Unix.gettimeofday (); budget }
+let start budget = { started = Clock.now (); budget }
 
 let unlimited = { started = 0.0; budget = None }
 
-let elapsed t = Unix.gettimeofday () -. t.started
+let elapsed t = Clock.now () -. t.started
 
 let expired t =
   match t.budget with None -> false | Some b -> elapsed t >= b

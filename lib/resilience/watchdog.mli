@@ -1,10 +1,12 @@
-(** Wall-clock deadlines for graceful degradation.
+(** Monotonic deadlines for graceful degradation.
 
     A watchdog is started with an optional time budget in seconds; [None]
-    never expires. Callers poll {!expired} at safe points (round boundaries,
-    between phases) — there is no asynchronous interruption, so a deadline
-    can only change *which* deterministic path runs, never leave shared
-    state half-mutated. *)
+    never expires. Time is read from {!Accals_telemetry.Clock.now}, so a
+    wall-clock step (NTP, [date]) cannot expire a deadline early. Callers
+    poll {!expired} at safe points (round boundaries, between phases) —
+    there is no asynchronous interruption, so a deadline can only change
+    *which* deterministic path runs, never leave shared state
+    half-mutated. *)
 
 type t
 

@@ -135,15 +135,6 @@ type t = {
   quarantine : (string, quarantine_entry) Hashtbl.t;
       (** main-loop only: reaping, sweeping and admission all run on the
           select-loop thread *)
-  run_mutex : Mutex.t;
-  mutable run_total_s : float;  (** guarded by [run_mutex] *)
-  mutable run_count : int;  (** guarded by [run_mutex] *)
-  mutable n_shed : int;  (** main-loop only; mirrors [m_shed] for health *)
-  mutable n_deadline : int;
-  mutable n_quarantined : int;
-  mutable n_resource : int;  (** jobs/connections shed by a budget governor *)
-  mutable n_zombies_leaked : int;
-      (** abandoned workers that outlived the shutdown drain window *)
   mutable fd_shedding : bool;
       (** inside an fd-pressure episode: one incident per episode, not
           one per refused connection *)
@@ -301,14 +292,6 @@ let create cfg =
       workers = [];
       zombies = [];
       quarantine = Hashtbl.create 16;
-      run_mutex = Mutex.create ();
-      run_total_s = 0.0;
-      run_count = 0;
-      n_shed = 0;
-      n_deadline = 0;
-      n_quarantined = 0;
-      n_resource = 0;
-      n_zombies_leaked = 0;
       fd_shedding = false;
       stopped = Atomic.make false;
       started_mono = Clock.now ();
@@ -319,7 +302,7 @@ let create cfg =
               Slo.target_ms = cfg.slo_target_ms;
               Slo.objective = cfg.slo_objective;
             }
-          ();
+          reg;
       lanes = Hashtbl.create 16;
       profiler = None;
       reg;
@@ -398,10 +381,11 @@ let update_gauges t =
   Metrics.set t.g_queue (n Scheduler.Queued);
   Metrics.set t.g_running (n Scheduler.Running);
   Metrics.set t.g_conns (float_of_int (List.length t.conns));
+  let cache_bytes = Option.fold ~none:0 ~some:Cache.bytes t.cache in
   Option.iter
     (fun c ->
       Metrics.set t.g_cache (float_of_int (Cache.size c));
-      Metrics.set t.g_cache_bytes (float_of_int (Cache.bytes c)))
+      Metrics.set t.g_cache_bytes (float_of_int cache_bytes))
     t.cache;
   Metrics.set t.g_memory
     (float_of_int
@@ -412,19 +396,17 @@ let update_gauges t =
       | None -> 0)
      +
      match t.cache with
-     | Some c when t.cfg.state_dir <> Some (Cache.dir c) -> Cache.bytes c
+     | Some c when t.cfg.state_dir <> Some (Cache.dir c) -> cache_bytes
      | _ -> 0
    in
    Metrics.set t.g_statedir (float_of_int statedir_bytes));
-  Option.iter
-    (fun n -> Metrics.set t.g_open_fds (float_of_int n))
-    (Budget.Fd.open_fds ())
+  Metrics.set t.g_open_fds
+    (float_of_int (Option.value (Budget.Fd.open_fds ()) ~default:(-1)));
+  Slo.refresh_burn_rates t.slo
 
 let metrics t =
   update_gauges t;
-  (* The SLO module keeps its own registry (per-tenant instruments are
-     created on demand there); the exposition is the union. *)
-  Metrics.merge (Metrics.snapshot t.reg) (Slo.registry_snapshot t.slo)
+  Metrics.snapshot t.reg
 
 (* -- incidents and overload hints ---------------------------------------- *)
 
@@ -439,11 +421,6 @@ let record_incident t kind =
         [ Incident.make ~round:0 kind ]
     with Sys_error _ -> ())
 
-let observe_run t seconds =
-  Mutex.protect t.run_mutex (fun () ->
-      t.run_total_s <- t.run_total_s +. seconds;
-      t.run_count <- t.run_count + 1)
-
 (* How long a shed client should wait before retrying: the observed
    average job run time scaled by the backlog per slot, clamped to
    [100ms, 60s].  A heuristic, not a promise — but it is derived from
@@ -451,9 +428,9 @@ let observe_run t seconds =
    minutes where a queue of cache-warm repeats hints milliseconds. *)
 let retry_after_ms t =
   let avg =
-    Mutex.protect t.run_mutex (fun () ->
-        if t.run_count = 0 then 0.5
-        else t.run_total_s /. float_of_int t.run_count)
+    match Metrics.histogram_value t.h_run with
+    | { Metrics.count = 0; _ } -> 0.5
+    | { Metrics.sum; count; _ } -> sum /. float_of_int count
   in
   let queued, running = Scheduler.totals t.sched in
   let backlog =
@@ -485,13 +462,12 @@ let quarantined t fp =
    deadline reap is the watchdog's verdict and a resource shed is the
    budget governor's — neither is the job's fault, so neither counts. *)
 let note_worker_outcome t job =
-  (* Health's [resource_exhausted_total] counts on the main loop (like
-     [n_shed]); the worker only records the verdict in the scheduler. *)
+  (* [resource_exhausted_total] counts on the main loop; the worker only
+     records the verdict in the scheduler. *)
   (match Scheduler.state t.sched job with
    | Scheduler.Failed
      when (Scheduler.view t.sched job).Scheduler.v_failure
           = Some Scheduler.resource_failure ->
-     t.n_resource <- t.n_resource + 1;
      Metrics.incr t.m_resource
    | _ -> ());
   if t.cfg.quarantine_threshold > 0 then begin
@@ -515,7 +491,6 @@ let note_worker_outcome t job =
         && entry.q_until <= Clock.now ()
       then begin
         entry.q_until <- Clock.now () +. t.cfg.quarantine_cooldown;
-        t.n_quarantined <- t.n_quarantined + 1;
         Metrics.incr t.m_quarantined;
         log t "quarantined %s for %.0fs after %d abnormal worker death(s)" fp
           t.cfg.quarantine_cooldown entry.q_failures;
@@ -616,7 +591,6 @@ let admit t (spec : Protocol.job_spec) =
            Error (Quarantined { fingerprint = fp; retry_after_ms })
          | None ->
            let shed scope =
-             t.n_shed <- t.n_shed + 1;
              Metrics.incr t.m_shed;
              Slo.observe_shed t.slo ~tenant:spec.Protocol.tenant ~kind:"shed";
              let retry_after_ms = retry_after_ms t in
@@ -832,11 +806,7 @@ let worker_body t job net =
          tr);
   (let v = Scheduler.view t.sched job in
    Option.iter (Metrics.observe t.h_wait) v.Scheduler.v_wait_s;
-   Option.iter
-     (fun s ->
-       Metrics.observe t.h_run s;
-       observe_run t s)
-     v.Scheduler.v_run_s;
+   Option.iter (Metrics.observe t.h_run) v.Scheduler.v_run_s;
    (* SLO accounting: good/violated on success, a bounded-cardinality
       failure kind otherwise (free-form exception text must not mint
       Prometheus label values). *)
@@ -891,7 +861,6 @@ let sweep_deadlines t =
       match Scheduler.expire t.sched job with
       | None -> ()
       | Some phase ->
-        t.n_deadline <- t.n_deadline + 1;
         Metrics.incr t.m_deadline;
         let deadline_s =
           Option.value (Scheduler.spec job).Protocol.deadline ~default:0.0
@@ -1100,15 +1069,15 @@ let handle_request t req =
     | other -> Protocol.ok_response [ ("slo", other) ])
   | Protocol.Health ->
     (* Everything a load balancer or the CI soak needs in one cheap,
-       unprivileged round-trip.  [open_fds] exposes the daemon's own fd
-       count (via /proc; -1 where unavailable) so a soak can assert the
-       daemon does not leak descriptors under flood. *)
+       unprivileged round-trip.  Counters and resource gauges are read
+       from the registry, after the same [update_gauges] sample that
+       [metrics] exports.  [open_fds] is the daemon's own fd count (via
+       /proc; -1 where unavailable) so a soak can assert the daemon does
+       not leak descriptors under flood. *)
     let queued, running = Scheduler.totals t.sched in
-    let open_fds =
-      match Sys.readdir "/proc/self/fd" with
-      | entries -> Array.length entries
-      | exception Sys_error _ -> -1
-    in
+    update_gauges t;
+    let count c = Json.Int (int_of_float (Metrics.counter_value c)) in
+    let gauge g = Json.Int (int_of_float (Metrics.gauge_value g)) in
     Protocol.ok_response
       [
         ("queue_depth", Json.Int queued);
@@ -1121,31 +1090,24 @@ let handle_request t req =
         ("hub_domains_spawned", Json.Int (Domain_hub.spawned t.hub));
         ("hub_domains_live", Json.Int (Domain_hub.live t.hub));
         ("connections", Json.Int (List.length t.conns));
-        ("cache_entries",
-         opt_json (fun c -> Json.Int (Cache.size c)) t.cache);
-        ("cache_bytes",
-         opt_json (fun c -> Json.Int (Cache.bytes c)) t.cache);
-        ("shed_total", Json.Int t.n_shed);
-        ("deadline_exceeded_total", Json.Int t.n_deadline);
-        ("quarantined_total", Json.Int t.n_quarantined);
-        ("resource_exhausted_total", Json.Int t.n_resource);
-        ("zombies_leaked_total", Json.Int t.n_zombies_leaked);
+        ("cache_entries", opt_json (fun _ -> gauge t.g_cache) t.cache);
+        ("cache_bytes", opt_json (fun _ -> gauge t.g_cache_bytes) t.cache);
+        ("shed_total", count t.m_shed);
+        ("deadline_exceeded_total", count t.m_deadline);
+        ("quarantined_total", count t.m_quarantined);
+        ("resource_exhausted_total", count t.m_resource);
+        ("zombies_leaked_total", count t.m_zombies_leaked);
         ("uptime_s", Json.Float (Clock.now () -. t.started_mono));
         (* [uptime_seconds] is the documented name; [uptime_s] stays for
            existing probes. *)
         ("uptime_seconds", Json.Float (Clock.now () -. t.started_mono));
         ("protocol_version", Json.Int Protocol.version);
         ("build", Build_info.to_json ());
-        ("open_fds", Json.Int open_fds);
+        ("open_fds", gauge t.g_open_fds);
         ("fd_limit",
          Json.Int (Option.value (Budget.Fd.limit ()) ~default:(-1)));
-        ("memory_bytes",
-         Json.Int ((Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8)));
-        ("statedir_bytes",
-         Json.Int
-           (match t.cfg.state_dir with
-            | Some d -> Budget.Disk.usage_bytes d
-            | None -> 0));
+        ("memory_bytes", gauge t.g_memory);
+        ("statedir_bytes", gauge t.g_statedir);
       ]
   | Protocol.Ping ->
     Protocol.ok_response
@@ -1290,7 +1252,6 @@ let shed_accept t listener =
   match Unix.accept listener with
   | exception Unix.Unix_error _ -> ()
   | fd, _ ->
-    t.n_resource <- t.n_resource + 1;
     Metrics.incr t.m_resource;
     if not t.fd_shedding then begin
       (* One incident per pressure episode, not one per refused
@@ -1537,7 +1498,6 @@ let drain t =
         a soak that kills and restarts the daemon reads the tally from
         state_dir/metrics.prom. *)
      let leaked = List.length t.zombies in
-     t.n_zombies_leaked <- t.n_zombies_leaked + leaked;
      Metrics.add t.m_zombies_leaked leaked;
      log t "leaking %d still-wedged worker domain(s) at exit" leaked
    end);

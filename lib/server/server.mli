@@ -67,7 +67,8 @@
     is evicted after each store: corrupt entries first, then
     least-recently-used. The [health] request reports queue depth,
     slots, cache size, shed/deadline/quarantine totals and the
-    daemon's open-fd count in one unprivileged round-trip. *)
+    daemon's open-fd count in one unprivileged round-trip, all read
+    from the same registry (and gauge sample) that [metrics] exports. *)
 
 module Metrics := Accals_telemetry.Metrics
 
@@ -157,4 +158,7 @@ val stop : t -> unit
     (atomic flag + self-pipe write). *)
 
 val metrics : t -> Metrics.snapshot
-(** Current server registry snapshot (jobs, cache, queue gauges). *)
+(** Current server registry snapshot, after refreshing its gauges:
+    jobs, cache, queue and resource gauges, and the per-tenant SLO
+    families ({!Slo}). The registry is the daemon's only store of
+    accounting. *)

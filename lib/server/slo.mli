@@ -2,7 +2,7 @@
 
     The server reports every finished job here with its phase latencies
     (queue-wait, run, end-to-end) and outcome; admission-control rejects
-    are reported as sheds. The module keeps, per tenant:
+    are reported as sheds. Per tenant, the accounting is:
 
     - fixed-bucket latency histograms per phase (seconds), from which
       the [slo] protocol request serves interpolated p50/p90/p99;
@@ -19,14 +19,16 @@
     most [target_ms]. Everything else — slow successes, failures,
     sheds — is {e bad} and burns budget.
 
-    Thread-safety: one internal mutex; observation entry points are
-    called from worker domains and the accept loop concurrently.
+    Storage: the histograms and outcome counts are instruments of the
+    registry handed to {!create} ([accals_slo_latency_seconds{tenant,phase}],
+    [accals_slo_jobs_total{tenant,outcome}]), so the server's one
+    registry is the only store and {!to_json} is read back from it. The
+    burn-rate ring is the module's only private state.
 
-    Export: {!to_json} serves the [slo] protocol request (and [accals
-    top]); {!registry_snapshot} mirrors the accounting into Prometheus
-    instruments ([accals_slo_latency_seconds],
-    [accals_slo_jobs_total], [accals_slo_burn_rate]) that the server
-    merges into its [metrics] exposition. *)
+    Thread-safety: one internal mutex guards the ring; observation entry
+    points are called from worker domains and the accept loop
+    concurrently. The mutex is never held around a registry call, so the
+    two lock domains never nest. *)
 
 module Json := Accals_telemetry.Json
 module Metrics := Accals_telemetry.Metrics
@@ -44,9 +46,9 @@ val window_minutes : int
 
 type t
 
-val create : ?spec:spec -> unit -> t
-(** Raises [Invalid_argument] on a non-positive [target_ms] or an
-    [objective] outside (0, 1). *)
+val create : ?spec:spec -> Metrics.t -> t
+(** Account into the given registry. Raises [Invalid_argument] on a
+    non-positive [target_ms] or an [objective] outside (0, 1). *)
 
 val spec : t -> spec
 
@@ -80,6 +82,6 @@ val to_json : t -> Json.t
     outcome breakdown, burn rate, window counts and per-phase latency
     percentiles in milliseconds. *)
 
-val registry_snapshot : t -> Metrics.snapshot
-(** Refresh the burn-rate gauges and snapshot the Prometheus mirror,
-    for merging into the server's metrics exposition. *)
+val refresh_burn_rates : t -> unit
+(** Set each tenant's [accals_slo_burn_rate{tenant}] gauge in the
+    registry from the current window; call before a snapshot. *)

@@ -173,15 +173,51 @@ let observe h x =
 (* ------------------------------------------------------------------ *)
 (* Snapshots *)
 
-type value =
-  | Counter of float
-  | Gauge of float
-  | Histogram of {
-      bounds : float array;
-      counts : int array;
-      sum : float;
-      count : int;
-    }
+type histogram_data = {
+  bounds : float array;
+  counts : int array;
+  sum : float;
+  count : int;
+}
+
+let histogram_value h =
+  let counts = Array.map Atomic.get h.h_counts in
+  Mutex.lock h.h_mutex;
+  let sum = h.h_sum in
+  Mutex.unlock h.h_mutex;
+  {
+    bounds = Array.copy h.h_bounds;
+    counts;
+    sum;
+    count = Array.fold_left ( + ) 0 counts;
+  }
+
+let quantile h p =
+  if h.count = 0 then None
+  else begin
+    let rank = p *. float_of_int h.count in
+    let nb = Array.length h.bounds in
+    let rec walk i cum =
+      if i > nb then Some h.bounds.(nb - 1)
+      else
+        let cum' = cum + h.counts.(i) in
+        if float_of_int cum' >= rank then
+          if i >= nb then Some h.bounds.(nb - 1)
+          else begin
+            let lo = if i = 0 then 0.0 else h.bounds.(i - 1) in
+            let hi = h.bounds.(i) in
+            let inside =
+              if h.counts.(i) = 0 then 0.0
+              else (rank -. float_of_int cum) /. float_of_int h.counts.(i)
+            in
+            Some (lo +. ((hi -. lo) *. inside))
+          end
+        else walk (i + 1) cum'
+    in
+    walk 0 0
+  end
+
+type value = Counter of float | Gauge of float | Histogram of histogram_data
 
 type sample = { name : string; labels : labels; help : string; value : value }
 
@@ -190,18 +226,7 @@ type snapshot = sample list
 let freeze_instrument = function
   | C c -> Counter (counter_value c)
   | G g -> Gauge (gauge_value g)
-  | H h ->
-    let counts = Array.map Atomic.get h.h_counts in
-    Mutex.lock h.h_mutex;
-    let sum = h.h_sum in
-    Mutex.unlock h.h_mutex;
-    Histogram
-      {
-        bounds = Array.copy h.h_bounds;
-        counts;
-        sum;
-        count = Array.fold_left ( + ) 0 counts;
-      }
+  | H h -> Histogram (histogram_value h)
 
 let snapshot t =
   Mutex.lock t.mutex;

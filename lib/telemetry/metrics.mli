@@ -69,17 +69,24 @@ val histogram :
 
 val observe : histogram -> float -> unit
 
+type histogram_data = {
+  bounds : float array;  (** finite upper bounds, ascending *)
+  counts : int array;  (** per-bucket (non-cumulative); length = bounds + 1, last is +Inf *)
+  sum : float;
+  count : int;
+}
+
+val histogram_value : histogram -> histogram_data
+
+val quantile : histogram_data -> float -> float option
+(** [quantile h p] for [p] in [0, 1]: [None] on an empty histogram,
+    otherwise linearly interpolated inside the bucket the rank [p * count]
+    falls in (the first bucket starts at 0). A rank that falls in the
+    [+Inf] bucket reports the last finite bound. *)
+
 (** {1 Snapshots and export} *)
 
-type value =
-  | Counter of float
-  | Gauge of float
-  | Histogram of {
-      bounds : float array;  (** finite upper bounds, ascending *)
-      counts : int array;  (** per-bucket (non-cumulative); length = bounds + 1, last is +Inf *)
-      sum : float;
-      count : int;
-    }
+type value = Counter of float | Gauge of float | Histogram of histogram_data
 
 type sample = {
   name : string;

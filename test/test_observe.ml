@@ -193,7 +193,7 @@ let test_profiler_determinism () =
 
 let test_slo_spec_validation () =
   let raises spec =
-    match Slo.create ~spec () with
+    match Slo.create ~spec (Metrics.create ()) with
     | _ -> false
     | exception Invalid_argument _ -> true
   in
@@ -203,7 +203,7 @@ let test_slo_spec_validation () =
     (raises { Slo.target_ms = 1000.0; objective = 0.0 });
   check "objective 1 rejected" true
     (raises { Slo.target_ms = 1000.0; objective = 1.0 });
-  let t = Slo.create () in
+  let t = Slo.create (Metrics.create ()) in
   check "default spec" true (Slo.spec t = Slo.default_spec)
 
 let slo_field tenant_json name =
@@ -225,7 +225,8 @@ let find_tenant doc name =
 
 let test_slo_accounting () =
   (* target 1s at 50%: half the traffic may be bad before burn hits 1. *)
-  let t = Slo.create ~spec:{ Slo.target_ms = 1000.0; objective = 0.5 } () in
+  let reg = Metrics.create () in
+  let t = Slo.create ~spec:{ Slo.target_ms = 1000.0; objective = 0.5 } reg in
   check "unknown tenant burns nothing" true (Slo.burn_rate t ~tenant:"t0" = 0.0);
   (* Three good, one slow success, one deadline failure, one shed. *)
   for _ = 1 to 3 do
@@ -266,14 +267,179 @@ let test_slo_accounting () =
        check "p50 plausible" true (p50 > 50.0 && p50 < 1000.0)
      | None -> Alcotest.fail "end_to_end latency missing")
    | None -> Alcotest.fail "latency object missing");
-  (* The Prometheus mirror exports cleanly and carries the burn gauge. *)
-  let text = Metrics.to_prometheus (Slo.registry_snapshot t) in
+  (* The registry exports cleanly and carries the burn gauge. *)
+  Slo.refresh_burn_rates t;
+  let text = Metrics.to_prometheus (Metrics.snapshot reg) in
   ignore (Test_telemetry.prometheus_lint text);
   check "burn gauge exported" true (contains text "accals_slo_burn_rate");
   check "latency histogram exported" true
     (contains text "accals_slo_latency_seconds");
   check "outcome counters exported" true
     (contains text "accals_slo_jobs_total")
+
+(* Pinned vectors: the [to_json] string and Prometheus sample set of a
+   fixed script must never drift. The script covers a shed-only tenant (null
+   percentiles), a 400 s observation past the last finite bound (+Inf
+   bucket), a value exactly on a bound (0.25 s), a deadline failure and
+   a single-observation p99. *)
+let slo_script () =
+  let reg = Metrics.create () in
+  let t =
+    Slo.create ~spec:{ Slo.target_ms = 1000.0; objective = 0.9 } reg
+  in
+  Slo.observe_job t ~tenant:"a" ~wait_s:0.01 ~run_s:0.25 ~total_s:0.25 ();
+  Slo.observe_job t ~tenant:"a" ~wait_s:0.5 ~run_s:400.0 ~total_s:400.5 ();
+  Slo.observe_job t ~tenant:"a" ~failure:"deadline_exceeded" ~wait_s:1.0
+    ~run_s:0.0 ~total_s:1.0 ();
+  Slo.observe_job t ~tenant:"a" ~wait_s:0.001 ~run_s:0.005 ~total_s:0.006 ();
+  Slo.observe_job t ~tenant:"b" ~wait_s:0.002 ~run_s:0.03 ~total_s:0.032 ();
+  Slo.observe_shed t ~tenant:"c" ~kind:"shed";
+  Slo.observe_shed t ~tenant:"c" ~kind:"shed";
+  Slo.observe_shed t ~tenant:"c" ~kind:"quarantined";
+  (t, reg)
+
+(* The exposition's sample lines (name, labels, value), sorted: the
+   pinned set is independent of registration order. *)
+let slo_samples t reg =
+  Slo.refresh_burn_rates t;
+  Metrics.to_prometheus (Metrics.snapshot reg)
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.sort compare
+
+let pinned_slo_json =
+  {|{"target_ms":1000,"objective":0.90000000000000002,"window_minutes":60,"tenants":[{"tenant":"a","jobs_total":4,"good":2,"violated":1,"failures":{"deadline_exceeded":1},"burn_rate":5.0000000000000009,"window":{"minutes":60,"good":2,"bad":2},"latency":{"queue_wait":{"p50_ms":10,"p90_ms":800,"p99_ms":980,"mean_ms":377.75,"count":4},"run":{"p50_ms":5,"p90_ms":300000,"p99_ms":300000,"mean_ms":100063.75,"count":4},"end_to_end":{"p50_ms":250,"p90_ms":300000,"p99_ms":300000,"mean_ms":100439,"count":4}}},{"tenant":"b","jobs_total":1,"good":1,"violated":0,"failures":{},"burn_rate":0,"window":{"minutes":60,"good":1,"bad":0},"latency":{"queue_wait":{"p50_ms":3,"p90_ms":4.5999999999999996,"p99_ms":4.96,"mean_ms":2,"count":1},"run":{"p50_ms":37.500000000000007,"p90_ms":47.5,"p99_ms":49.75,"mean_ms":30,"count":1},"end_to_end":{"p50_ms":37.500000000000007,"p90_ms":47.5,"p99_ms":49.75,"mean_ms":32,"count":1}}},{"tenant":"c","jobs_total":3,"good":0,"violated":0,"failures":{"quarantined":1,"shed":2},"burn_rate":10.000000000000002,"window":{"minutes":60,"good":0,"bad":3},"latency":{"queue_wait":{"p50_ms":null,"p90_ms":null,"p99_ms":null,"mean_ms":null,"count":0},"run":{"p50_ms":null,"p90_ms":null,"p99_ms":null,"mean_ms":null,"count":0},"end_to_end":{"p50_ms":null,"p90_ms":null,"p99_ms":null,"mean_ms":null,"count":0}}}]}|}
+
+let pinned_slo_samples =
+  {|accals_slo_burn_rate{tenant="a"} 5.0000000000000009
+accals_slo_burn_rate{tenant="b"} 0
+accals_slo_burn_rate{tenant="c"} 10.000000000000002
+accals_slo_jobs_total{tenant="a",outcome="deadline_exceeded"} 1
+accals_slo_jobs_total{tenant="a",outcome="good"} 2
+accals_slo_jobs_total{tenant="a",outcome="violated"} 1
+accals_slo_jobs_total{tenant="b",outcome="good"} 1
+accals_slo_jobs_total{tenant="c",outcome="quarantined"} 1
+accals_slo_jobs_total{tenant="c",outcome="shed"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="+Inf"} 4
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="0.001"} 0
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="0.0050000000000000001"} 0
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="0.01"} 1
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="0.025000000000000001"} 1
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="0.050000000000000003"} 1
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="0.10000000000000001"} 1
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="0.25"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="0.5"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="1"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="10"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="120"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="2.5"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="30"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="300"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="5"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="end_to_end",le="60"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="+Inf"} 4
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="0.001"} 1
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="0.0050000000000000001"} 1
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="0.01"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="0.025000000000000001"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="0.050000000000000003"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="0.10000000000000001"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="0.25"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="0.5"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="1"} 4
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="10"} 4
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="120"} 4
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="2.5"} 4
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="30"} 4
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="300"} 4
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="5"} 4
+accals_slo_latency_seconds_bucket{tenant="a",phase="queue_wait",le="60"} 4
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="+Inf"} 4
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="0.001"} 1
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="0.0050000000000000001"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="0.01"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="0.025000000000000001"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="0.050000000000000003"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="0.10000000000000001"} 2
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="0.25"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="0.5"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="1"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="10"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="120"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="2.5"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="30"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="300"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="5"} 3
+accals_slo_latency_seconds_bucket{tenant="a",phase="run",le="60"} 3
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="+Inf"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="0.001"} 0
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="0.0050000000000000001"} 0
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="0.01"} 0
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="0.025000000000000001"} 0
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="0.050000000000000003"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="0.10000000000000001"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="0.25"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="0.5"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="1"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="10"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="120"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="2.5"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="30"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="300"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="5"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="end_to_end",le="60"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="+Inf"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="0.001"} 0
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="0.0050000000000000001"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="0.01"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="0.025000000000000001"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="0.050000000000000003"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="0.10000000000000001"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="0.25"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="0.5"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="1"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="10"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="120"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="2.5"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="30"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="300"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="5"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="queue_wait",le="60"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="+Inf"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="0.001"} 0
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="0.0050000000000000001"} 0
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="0.01"} 0
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="0.025000000000000001"} 0
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="0.050000000000000003"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="0.10000000000000001"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="0.25"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="0.5"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="1"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="10"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="120"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="2.5"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="30"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="300"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="5"} 1
+accals_slo_latency_seconds_bucket{tenant="b",phase="run",le="60"} 1
+accals_slo_latency_seconds_count{tenant="a",phase="end_to_end"} 4
+accals_slo_latency_seconds_count{tenant="a",phase="queue_wait"} 4
+accals_slo_latency_seconds_count{tenant="a",phase="run"} 4
+accals_slo_latency_seconds_count{tenant="b",phase="end_to_end"} 1
+accals_slo_latency_seconds_count{tenant="b",phase="queue_wait"} 1
+accals_slo_latency_seconds_count{tenant="b",phase="run"} 1
+accals_slo_latency_seconds_sum{tenant="a",phase="end_to_end"} 401.75599999999997
+accals_slo_latency_seconds_sum{tenant="a",phase="queue_wait"} 1.5109999999999999
+accals_slo_latency_seconds_sum{tenant="a",phase="run"} 400.255
+accals_slo_latency_seconds_sum{tenant="b",phase="end_to_end"} 0.032000000000000001
+accals_slo_latency_seconds_sum{tenant="b",phase="queue_wait"} 0.002
+accals_slo_latency_seconds_sum{tenant="b",phase="run"} 0.029999999999999999|}
+
+let test_slo_pinned_vectors () =
+  let t, reg = slo_script () in
+  check_string "slo json" pinned_slo_json (Json.to_string (Slo.to_json t));
+  check_string "slo prometheus samples" pinned_slo_samples
+    (String.concat "\n" (slo_samples t reg))
 
 (* --- end-to-end trace propagation through the daemon --- *)
 
@@ -432,6 +598,8 @@ let suite =
         Alcotest.test_case "slo spec validation" `Quick
           test_slo_spec_validation;
         Alcotest.test_case "slo accounting" `Quick test_slo_accounting;
+        Alcotest.test_case "slo pinned vectors" `Quick
+          test_slo_pinned_vectors;
         Alcotest.test_case "trace propagation e2e" `Slow
           test_trace_propagation_e2e;
       ] );

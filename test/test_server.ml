@@ -9,6 +9,7 @@ module Metric = Accals_metrics.Metric
 module Bench_suite = Accals_circuits.Bench_suite
 module Blif = Accals_io.Blif
 module Json = Accals_telemetry.Json
+module Metrics = Accals_telemetry.Metrics
 module Clock = Accals_telemetry.Clock
 module Protocol = Accals_server.Protocol
 module Cache = Accals_server.Cache
@@ -1323,6 +1324,100 @@ let test_daemon_overload () =
   Domain.join daemon;
   Client.close c
 
+(* Health and metrics read one ledger: after a cold job and a forced
+   shed, every health figure with a Prometheus twin equals that twin in
+   [Server.metrics]. The cache lives outside the state dir, so
+   [statedir_bytes] must count it, and [open_fds] must not count the
+   probe's own /proc/self/fd descriptor. *)
+let test_daemon_health_metrics_parity () =
+  let dir = temp_dir "accals_daemon_parity" in
+  let sock = Filename.concat dir "t.sock" in
+  let server, daemon =
+    boot_server
+      {
+        Server.default_config with
+        Server.socket = sock;
+        jobs = 1;
+        max_concurrent = 1;
+        max_queue = 1;
+        cache_dir = Some (Filename.concat dir "cache");
+        state_dir = Some (Filename.concat dir "state");
+        default_samples = e2e_samples;
+        log = false;
+      }
+  in
+  let c = Client.connect_unix_retry sock in
+  let health () = ok_exn "health" (Client.health c) in
+  let int_field h f =
+    match Json.member f h with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "health missing %s" f
+  in
+  (* A long job holds the only slot, a cold job fills the queue, and the
+     next submission is shed. *)
+  let id_hog, _ =
+    ok_exn "submit hog"
+      (Client.submit c (e2e_spec ~tenant:"hog" ~samples:2048 "div" 0.01))
+  in
+  let rec until_running n =
+    if int_field (health ()) "running" = 0 && n > 0 then begin
+      Unix.sleepf 0.05;
+      until_running (n - 1)
+    end
+  in
+  until_running 200;
+  let id_cold, _ =
+    ok_exn "queue cold job" (Client.submit c (e2e_spec ~seed:7 "rca32" 0.05))
+  in
+  let r_shed =
+    ok_exn "flood"
+      (Client.rpc c (Protocol.Submit (e2e_spec ~seed:8 "rca32" 0.05)))
+  in
+  check "queue-full submission shed" true
+    (Client.error_code r_shed = Some "overloaded");
+  ignore (ok_exn "cancel hog" (Client.rpc c (Protocol.Cancel id_hog)));
+  let r_cold = ok_exn "wait cold job" (Client.wait ~timeout:300.0 c id_cold) in
+  check_string "cold job completes" "done" (get_string "state" r_cold);
+  let pairs =
+    [
+      ("open_fds", "accals_open_fds");
+      ("statedir_bytes", "accals_statedir_bytes");
+      ("memory_bytes", "accals_memory_bytes");
+      ("shed_total", "accals_server_shed_total");
+      ("resource_exhausted_total", "accals_server_resource_exhausted_total");
+    ]
+  in
+  let health_values () =
+    let h = health () in
+    List.map (fun (f, _) -> int_field h f) pairs
+  in
+  let metric_values () =
+    let snap = Server.metrics server in
+    List.map
+      (fun (_, name) ->
+        match Metrics.find snap name with
+        | Some (Metrics.Counter v | Metrics.Gauge v) -> int_of_float v
+        | _ -> Alcotest.failf "metrics missing %s" name)
+      pairs
+  in
+  (* The heap can grow between two probes; compare a metrics sample
+     taken between two identical health samples. *)
+  let rec settled n =
+    let before = health_values () in
+    let metrics = metric_values () in
+    if before = health_values () || n = 0 then (before, metrics)
+    else settled (n - 1)
+  in
+  let from_health, from_metrics = settled 20 in
+  let named = List.combine (List.map fst pairs) in
+  Alcotest.(check (list (pair string int)))
+    "health equals its metrics twins" (named from_metrics) (named from_health);
+  check_int "the shed is counted" 1 (List.nth from_health 3);
+  check "the out-of-tree cache is counted" true (List.nth from_health 1 > 0);
+  Server.stop server;
+  Domain.join daemon;
+  Client.close c
+
 (* Fd governor: with an impossible [fd_reserve] every connection is over
    the descriptor budget. The daemon must still accept each one just long
    enough to hand it a structured resource_exhausted error — never a
@@ -1544,6 +1639,8 @@ let suite =
           test_daemon_deadline;
         Alcotest.test_case "overload shed + retry_after + retry" `Slow
           test_daemon_overload;
+        Alcotest.test_case "health and metrics report one ledger" `Slow
+          test_daemon_health_metrics_parity;
         Alcotest.test_case "fd governor sheds with a structured error"
           `Quick test_daemon_fd_governor_sheds;
         Alcotest.test_case "restart re-admits through admission control" `Slow
