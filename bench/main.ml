@@ -668,14 +668,19 @@ let speedup () =
   close_out oc;
   Printf.printf "wrote %s\n" speedup_json_file
 
-(* ---------- Incremental signature engine: rebuild vs incremental ---------- *)
+(* ---------- Signature database: per-round vs persistent ---------- *)
 
 let incremental_json_file = "bench_incremental.json"
 
+(* Both settings run the same journaled evaluation over a signature
+   database; they differ only in how long the database lives — rebuilt every
+   round ([--no-incremental]) or kept and refreshed across rounds (the
+   default). Results must be identical; the resimulated-node counts show the
+   work the persistent database saves. *)
 let incremental () =
   section
     (Printf.sprintf
-       "Incremental signature engine: rebuild vs incremental (JSON -> %s)"
+       "Signature database: per-round vs persistent database (JSON -> %s)"
        incremental_json_file);
   let metric = Metric.Error_rate and bound = 0.03 in
   (* The three largest circuits of the small set by mapped area. *)
@@ -689,8 +694,9 @@ let incremental () =
   let strip (r : Trace.round) =
     { r with Trace.resim_nodes = 0; resim_converged = 0; resim_recycled = 0 }
   in
+  let sum f rounds = List.fold_left (fun a r -> a + f r) 0 rounds in
   Printf.printf "%-8s %8s %12s %12s %9s %11s %11s %6s\n" "Ckt" "live"
-    "rebuild (s)" "increm. (s)" "speedup" "resim/round" "full/round" "ident";
+    "per-rnd (s)" "persist (s)" "speedup" "resim/round" "per-rnd/rnd" "ident";
   let rows =
     List.map
       (fun name ->
@@ -715,68 +721,60 @@ let incremental () =
           in
           Engine.run ~config net ~metric ~error_bound:bound
         in
-        let reb = run_with false 1 in
-        let inc = run_with true 1 in
-        let inc_par = run_with true (max 2 !jobs) in
+        let per_round = run_with false 1 in
+        let persistent = run_with true 1 in
+        let persistent_par = run_with true (max 2 !jobs) in
         let identical =
-          List.map strip reb.Engine.rounds = List.map strip inc.Engine.rounds
-          && inc.Engine.rounds = inc_par.Engine.rounds
-          && reb.Engine.error = inc.Engine.error
-          && reb.Engine.area_ratio = inc.Engine.area_ratio
-          && reb.Engine.exact_evaluations = inc.Engine.exact_evaluations
+          List.map strip per_round.Engine.rounds
+          = List.map strip persistent.Engine.rounds
+          && persistent.Engine.rounds = persistent_par.Engine.rounds
+          && per_round.Engine.error = persistent.Engine.error
+          && per_round.Engine.area_ratio = persistent.Engine.area_ratio
+          && per_round.Engine.exact_evaluations
+             = persistent.Engine.exact_evaluations
         in
-        let sum f rounds = List.fold_left (fun a r -> a + f r) 0 rounds in
-        let n_rounds = max 1 (List.length inc.Engine.rounds) in
-        let resim_avg =
-          sum (fun r -> r.Trace.resim_nodes) inc.Engine.rounds / n_rounds
+        let avg (r : Engine.report) =
+          sum (fun r -> r.Trace.resim_nodes) r.Engine.rounds
+          / max 1 (List.length r.Engine.rounds)
         in
-        let full_avg =
-          sum (fun r -> r.Trace.resim_nodes) reb.Engine.rounds
-          / max 1 (List.length reb.Engine.rounds)
+        let speedup =
+          per_round.Engine.runtime_seconds
+          /. max 1e-9 persistent.Engine.runtime_seconds
         in
         Printf.printf "%-8s %8d %12.3f %12.3f %8.2fx %11d %11d %6b\n" name
-          !live_nodes reb.Engine.runtime_seconds inc.Engine.runtime_seconds
-          (reb.Engine.runtime_seconds /. max 1e-9 inc.Engine.runtime_seconds)
-          resim_avg full_avg identical;
-        (name, !live_nodes, reb, inc, identical))
+          !live_nodes per_round.Engine.runtime_seconds
+          persistent.Engine.runtime_seconds speedup (avg persistent)
+          (avg per_round) identical;
+        let resim (r : Engine.report) =
+          Json.List
+            (List.map (fun r -> Json.Int r.Trace.resim_nodes) r.Engine.rounds)
+        in
+        Json.Obj
+          [
+            ("name", Json.String name);
+            ("live_nodes", Json.Int !live_nodes);
+            ("rounds", Json.Int (List.length persistent.Engine.rounds));
+            ("identical", Json.Bool identical);
+            ("per_round_s", Json.Float per_round.Engine.runtime_seconds);
+            ("persistent_s", Json.Float persistent.Engine.runtime_seconds);
+            ("speedup", Json.Float speedup);
+            ("persistent_resim_nodes", resim persistent);
+            ("per_round_resim_nodes", resim per_round);
+            ( "resim_converged_total",
+              Json.Int (sum (fun r -> r.Trace.resim_converged) persistent.Engine.rounds) );
+            ( "buffers_recycled_total",
+              Json.Int (sum (fun r -> r.Trace.resim_recycled) persistent.Engine.rounds) );
+          ])
       names
   in
-  (* Hand-rolled JSON, same style as bench_speedup.json. *)
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"metric\": \"%s\",\n" (Metric.kind_to_string metric);
-  Printf.bprintf buf "  \"bound\": %g,\n" bound;
-  Printf.bprintf buf "  \"samples\": %d,\n" (samples ());
-  Buffer.add_string buf "  \"circuits\": [\n";
-  List.iteri
-    (fun i (name, live_nodes, reb, inc, identical) ->
-      let ints f rounds =
-        String.concat ", "
-          (List.map (fun r -> string_of_int (f r)) rounds)
-      in
-      let sum f rounds = List.fold_left (fun a r -> a + f r) 0 rounds in
-      Printf.bprintf buf
-        "    { \"name\": \"%s\", \"live_nodes\": %d, \"rounds\": %d,\n\
-        \      \"identical\": %b,\n\
-        \      \"rebuild_s\": %.6f, \"incremental_s\": %.6f, \"speedup\": %.4f,\n\
-        \      \"resim_nodes\": [%s],\n\
-        \      \"full_nodes\": [%s],\n\
-        \      \"resim_converged_total\": %d, \"buffers_recycled_total\": %d }%s\n"
-        name live_nodes
-        (List.length inc.Engine.rounds)
-        identical reb.Engine.runtime_seconds inc.Engine.runtime_seconds
-        (reb.Engine.runtime_seconds /. max 1e-9 inc.Engine.runtime_seconds)
-        (ints (fun r -> r.Trace.resim_nodes) inc.Engine.rounds)
-        (ints (fun r -> r.Trace.resim_nodes) reb.Engine.rounds)
-        (sum (fun r -> r.Trace.resim_converged) inc.Engine.rounds)
-        (sum (fun r -> r.Trace.resim_recycled) inc.Engine.rounds)
-        (if i = List.length rows - 1 then "" else ",")
-    )
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out incremental_json_file in
-  Buffer.output_buffer oc buf;
-  close_out oc;
+  Json.write_file incremental_json_file
+    (Json.Obj
+       [
+         ("metric", Json.String (Metric.kind_to_string metric));
+         ("bound", Json.Float bound);
+         ("samples", Json.Int (samples ()));
+         ("circuits", Json.List rows);
+       ]);
   Printf.printf "wrote %s\n" incremental_json_file
 
 (* ---------- Self-auditing runtime: audit and certification overhead ---------- *)

@@ -210,10 +210,10 @@ let max_memory_arg =
         ~doc:
           "Memory budget for the run, enforced at round boundaries: under \
            pressure the engine first drops its caches and buffer pools, \
-           then falls back to the rebuild backend, and only as a last \
-           resort checkpoints and sheds the run (degraded = true, never \
-           the OOM killer). Results stay bit-identical until the shed \
-           rung. 0 = unlimited.")
+           then falls back to a per-round signature database, and only as \
+           a last resort checkpoints and sheds the run (degraded = true, \
+           never the OOM killer). Results stay bit-identical until the \
+           shed rung. 0 = unlimited.")
 
 let round_deadline_arg =
   Arg.(
@@ -239,10 +239,12 @@ let no_incremental_arg =
     & flag
     & info [ "no-incremental" ]
         ~doc:
-          "Disable the incremental signature engine and rebuild the \
-           per-round state (signatures, criticality, error masks) from \
-           scratch every round. Results are bit-identical either way; the \
-           rebuild path exists as the reference for differential testing.")
+          "Keep the signature database for one round only: attach a fresh \
+           one (a full simulation) and a fresh estimator every round \
+           instead of refreshing the persistent pair incrementally. \
+           Evaluation is the same journaled cone resimulation either way, \
+           and results are bit-identical; only the resimulation counters \
+           differ.")
 
 let audit_every_arg =
   Arg.(
@@ -252,9 +254,9 @@ let audit_every_arg =
         ~doc:
           "Shadow-audit cadence: every $(docv) rounds, re-derive the \
            round's signatures and error from scratch and compare them with \
-           the incremental engine's state. A divergence is logged as an \
-           incident and permanently degrades the run to the rebuild \
-           backend. 0 (default) disables scheduled audits.")
+           the signature database's state. A divergence is logged as an \
+           incident and permanently degrades the run to a fresh database \
+           every round. 0 (default) disables scheduled audits.")
 
 let certify_arg =
   Arg.(

@@ -8,10 +8,12 @@
 
 type kind =
   | Audit_divergence of {
-      backend : string;  (** backend that was audited, e.g. ["incremental"] *)
+      backend : string;
+          (** setting of the audited database: ["incremental"] (persistent)
+              or ["rebuild"] (per-round) *)
       nodes : int list;  (** sample of diverging node ids (at most 8) *)
       fp_reference : string;  (** CRC-32 fingerprint of the re-derived signatures *)
-      fp_observed : string;  (** fingerprint of the audited backend's signatures *)
+      fp_observed : string;  (** fingerprint of the audited database's signatures *)
       recorded_error : float;  (** error the round loop recorded *)
       reference_error : float;  (** error re-derived from scratch *)
     }

@@ -3,7 +3,11 @@
 
     The engine starts at {!Incremental} (or {!Rebuild} under
     [--no-incremental]) and only ever moves {e down} the ladder:
-    [Incremental -> Rebuild -> Single_lac]. Each permanent descent carries
+    [Incremental -> Rebuild -> Single_lac]. All levels evaluate through the
+    same journaled signature database; {!Incremental} keeps it across
+    rounds, {!Rebuild} attaches a fresh one every round (so a descent
+    abandons a database the audit caught diverging), and {!Single_lac}
+    additionally commits one LAC per round. Each permanent descent carries
     a {!reason} and the round it happened in; transient events (a round
     watchdog demoting one round to single-LAC, a run deadline stopping the
     run) are recorded once per reason without changing the level. The whole
@@ -20,7 +24,7 @@ type reason =
       (** independent measurement rejected a result circuit *)
   | Manual  (** operator choice, e.g. [--no-incremental] *)
   | Resource_pressure
-      (** the [--max-memory-mb] governor demanded a cheaper backend or a
+      (** the [--max-memory-mb] governor demanded a cheaper level or a
           checkpoint-and-shed stop *)
 
 type event = { round : int; level : level; reason : reason; transient : bool }

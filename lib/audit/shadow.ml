@@ -27,7 +27,8 @@ let fingerprint ~live ~sigs n =
   done;
   Crc32.to_hex (Crc32.finish !crc)
 
-let compare ~net ~patterns ~golden ~metric ~recorded_error ~observed =
+let compare ~net ~patterns ~golden ~metric ~recorded_error ~backend
+    ~observed:(obs_live, obs_sigs) =
   let live = Structure.live_set net in
   let order = Structure.topo_order ~live net in
   let sigs = Sim.run ~live net patterns ~order in
@@ -35,46 +36,30 @@ let compare ~net ~patterns ~golden ~metric ~recorded_error ~observed =
   let reference_error = Metric.measure metric ~golden ~approx in
   let n = Network.num_nodes net in
   let error_diverges = not (Float.equal reference_error recorded_error) in
-  match observed with
-  | None ->
-    (* Rebuild backend: there is no second signature store to cross-check,
-       but the recorded running error must still be re-derivable. *)
-    if not error_diverges then Clean
-    else
-      Divergence
-        {
-          backend = "rebuild";
-          nodes = [];
-          fp_reference = fingerprint ~live ~sigs n;
-          fp_observed = "-";
-          recorded_error;
-          reference_error;
-        }
-  | Some (obs_live, obs_sigs) ->
-    let diverging = ref [] in
-    let count = ref 0 in
-    for id = 0 to n - 1 do
-      let ref_live = live.(id) in
-      let ob_live = id < Array.length obs_live && obs_live.(id) in
-      let diverges =
-        if ref_live && ob_live then not (Bitvec.equal sigs.(id) obs_sigs.(id))
-        else ref_live <> ob_live
-      in
-      if diverges then begin
-        incr count;
-        if !count <= max_reported_nodes then diverging := id :: !diverging
-      end
-    done;
-    if !count = 0 && not error_diverges then Clean
-    else
-      Divergence
-        {
-          backend = "incremental";
-          nodes = List.rev !diverging;
-          fp_reference = fingerprint ~live ~sigs n;
-          fp_observed =
-            fingerprint ~live:obs_live ~sigs:obs_sigs
-              (min n (Array.length obs_live));
-          recorded_error;
-          reference_error;
-        }
+  let diverging = ref [] in
+  let count = ref 0 in
+  for id = 0 to n - 1 do
+    let ref_live = live.(id) in
+    let ob_live = id < Array.length obs_live && obs_live.(id) in
+    let diverges =
+      if ref_live && ob_live then not (Bitvec.equal sigs.(id) obs_sigs.(id))
+      else ref_live <> ob_live
+    in
+    if diverges then begin
+      incr count;
+      if !count <= max_reported_nodes then diverging := id :: !diverging
+    end
+  done;
+  if !count = 0 && not error_diverges then Clean
+  else
+    Divergence
+      {
+        backend;
+        nodes = List.rev !diverging;
+        fp_reference = fingerprint ~live ~sigs n;
+        fp_observed =
+          fingerprint ~live:obs_live ~sigs:obs_sigs
+            (min n (Array.length obs_live));
+        recorded_error;
+        reference_error;
+      }

@@ -62,7 +62,6 @@ let run ?config ?(amosa = default_config) ?patterns ?pool net ~metric
   @@ fun () ->
   let golden = Evaluate.output_signatures net patterns in
   let area0 = Cost.area net in
-  let delay0 = Cost.delay net in
   let rng = Prng.create amosa.seed in
   let current = ref (Network.copy net) in
   let error = ref 0.0 in
@@ -207,37 +206,12 @@ let run ?config ?(amosa = default_config) ?patterns ?pool net ~metric
     end
   done;
   let approximate = Cleanup.compact !best in
-  let stats_snap = Accals_runtime.Stats.snapshot (Accals_runtime.Pool.stats dpool) in
   let report =
-    {
-      Engine.original = net;
-      approximate;
-      error = !best_error;
-      metric;
-      error_bound;
-      rounds = List.rev !rounds;
-      runtime_seconds = Clock.now () -. started;
-      exact_evaluations = !evaluations;
-      area_ratio = Cost.area approximate /. area0;
-      delay_ratio = Cost.delay approximate /. delay0;
-      adp_ratio = Cost.adp approximate /. (area0 *. delay0);
-      degraded = false;
-      degraded_reason = None;
-      final_level =
-        (if config.Config.incremental then Accals_audit.Ladder.Incremental
-         else Accals_audit.Ladder.Rebuild);
-      ladder_events = [];
-      ladder_summary =
-        (if config.Config.incremental then "incremental" else "rebuild");
-      audits = 0;
-      incidents = [];
-      certification = None;
-      stats = stats_snap;
-      metrics =
-        Accals_telemetry.Metrics.merge
-          stats_snap.Accals_runtime.Stats.metrics
-          (Accals_telemetry.Metrics.snapshot
-             (Accals_telemetry.Telemetry.metrics ()));
-    }
+    Engine.make_report ~config ~original:net ~approximate ~error:!best_error
+      ~metric ~error_bound ~rounds:(List.rev !rounds)
+      ~runtime_seconds:(Clock.now () -. started)
+      ~exact_evaluations:!evaluations
+      ~stats:(Accals_runtime.Stats.snapshot (Accals_runtime.Pool.stats dpool))
+      ()
   in
   { report; archive = List.sort compare !global_archive }

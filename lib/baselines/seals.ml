@@ -9,7 +9,6 @@ module Trace = Accals.Trace
 module Round_eval = Accals.Round_eval
 module Telemetry = Accals_telemetry.Telemetry
 module Clock = Accals_telemetry.Clock
-module Metrics = Accals_telemetry.Metrics
 module Tjson = Accals_telemetry.Json
 
 let run ?config ?patterns ?shortlist ?pool net ~metric ~error_bound =
@@ -41,8 +40,6 @@ let run ?config ?patterns ?shortlist ?pool net ~metric ~error_bound =
   let stats = Accals_runtime.Pool.stats pool in
   let phase name f = Accals_runtime.Stats.time_phase stats name f in
   let golden = phase "simulate" (fun () -> Evaluate.output_signatures net patterns) in
-  let area0 = Cost.area net in
-  let delay0 = Cost.delay net in
   let current = ref (Network.copy net) in
   let error = ref 0.0 in
   let best = ref (Network.copy net) in
@@ -111,32 +108,7 @@ let run ?config ?patterns ?shortlist ?pool net ~metric ~error_bound =
     end
   done;
   let approximate = Cleanup.compact !best in
-  let stats_snap = Accals_runtime.Stats.snapshot stats in
-  {
-    Engine.original = net;
-    approximate;
-    error = !best_error;
-    metric;
-    error_bound;
-    rounds = List.rev !rounds;
-    runtime_seconds = Clock.now () -. started;
-    exact_evaluations = !evaluations;
-    area_ratio = Cost.area approximate /. area0;
-    delay_ratio = Cost.delay approximate /. delay0;
-    adp_ratio = Cost.adp approximate /. (area0 *. delay0);
-    degraded = false;
-    degraded_reason = None;
-    final_level =
-      (if config.Config.incremental then Accals_audit.Ladder.Incremental
-       else Accals_audit.Ladder.Rebuild);
-    ladder_events = [];
-    ladder_summary =
-      (if config.Config.incremental then "incremental" else "rebuild");
-    audits = 0;
-    incidents = [];
-    certification = None;
-    stats = stats_snap;
-    metrics =
-      Metrics.merge stats_snap.Accals_runtime.Stats.metrics
-        (Metrics.snapshot (Telemetry.metrics ()));
-  }
+  Engine.make_report ~config ~original:net ~approximate ~error:!best_error
+    ~metric ~error_bound ~rounds:(List.rev !rounds)
+    ~runtime_seconds:(Clock.now () -. started) ~exact_evaluations:!evaluations
+    ~stats:(Accals_runtime.Stats.snapshot stats) ()

@@ -32,14 +32,14 @@ type t = {
       (** resimulate shortlisted candidates exactly (default); off: take
           the cheap criticality estimate as ΔE (VECBEE's fast mode) *)
   incremental : bool;
-      (** drive each round through the event-driven signature database
-          ([lib/sigdb]): candidate sets are evaluated under an undo journal
-          on the working circuit and only changed fanout cones are
-          resimulated, instead of copying the network and resimulating
-          everything per evaluation. On (default) and off produce
-          bit-identical traces and results for every [jobs] value; off is
-          the reference rebuild-everything path kept for differential
-          testing ([--no-incremental] in the CLI). *)
+      (** how long the signature database ([lib/sigdb]) lives. Every
+          round evaluates candidate sets under the database's undo journal
+          on the working circuit and resimulates only changed fanout cones;
+          on (default) the database and the estimator persist across
+          rounds, off ([--no-incremental] in the CLI, the ladder's rebuild
+          level) a fresh database is attached by a full simulation every
+          round. Both produce bit-identical traces (apart from the
+          resimulation counters) and results for every [jobs] value. *)
   jobs : int;
       (** domains for the parallel runtime; 1 (default) runs the reference
           sequential path with no pool. Results are bit-identical for every
@@ -60,7 +60,7 @@ type t = {
   audit_every : int;
       (** shadow-audit cadence: every [audit_every] rounds, re-derive the
           round's signatures and error from scratch and compare them with
-          the incremental engine's view (see [lib/audit]); a divergence is
+          the signature database's view (see [lib/audit]); a divergence is
           recorded as an incident and permanently demotes the run down the
           degradation ladder. 0 (default) disables scheduled audits;
           watermark anomalies still trigger one. *)
@@ -74,7 +74,7 @@ type t = {
           governor. When the sampled footprint (GC major heap plus sigdb
           pool counters) crosses the budget the engine escalates through
           result-preserving relief (drop the cone cache and signature
-          buffer pool, compact), then a rebuild-backend descent, and
+          buffer pool, compact), then a descent to the rebuild level, and
           finally a checkpoint-and-stop with [report.degraded = true] —
           every rung is bit-identity-preserving for the circuits it does
           emit, and the OOM killer is never the failure mode *)

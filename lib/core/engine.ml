@@ -85,6 +85,45 @@ let snapshot_round s = s.s_round
 let snapshot_finished s = s.s_finished
 let snapshot_circuit s = Network.name s.s_original
 
+let initial_ladder config =
+  Ladder.create
+    ~initial:
+      (if config.Config.incremental then Ladder.Incremental else Ladder.Rebuild)
+
+(* The one report constructor, shared with the SEALS and AMOSA baselines:
+   cost ratios against the original, the ladder's final state (a baseline
+   passes none and reports the level its configuration starts at), and the
+   pool registry merged with the ambient one. *)
+let make_report ~config ?(ladder = initial_ladder config) ~original
+    ~approximate ~error ~metric ~error_bound ~rounds ~runtime_seconds
+    ~exact_evaluations ~stats ?(degraded = false) ?degraded_reason
+    ?(audits = 0) ?(incidents = []) ?certification () =
+  let area0 = Cost.area original and delay0 = Cost.delay original in
+  {
+    original;
+    approximate;
+    error;
+    metric;
+    error_bound;
+    rounds;
+    runtime_seconds;
+    exact_evaluations;
+    area_ratio = Cost.area approximate /. area0;
+    delay_ratio = Cost.delay approximate /. delay0;
+    adp_ratio = Cost.adp approximate /. (area0 *. delay0);
+    degraded;
+    degraded_reason;
+    final_level = Ladder.level ladder;
+    ladder_events = Ladder.events ladder;
+    ladder_summary = Ladder.summary ladder;
+    audits;
+    incidents;
+    certification;
+    stats;
+    metrics =
+      Metrics.merge stats.Stats.metrics (Metrics.snapshot (Telemetry.metrics ()));
+  }
+
 let patterns_for config net =
   Sim.for_network ~seed:config.Config.seed ~count:config.Config.samples
     ~exhaustive_limit:config.Config.exhaustive_limit net
@@ -189,8 +228,6 @@ let run_loop ?patterns ?pool ?checkpoint st =
   in
   let started = Clock.now () in
   let golden = phase "simulate" (fun () -> Evaluate.output_signatures net patterns) in
-  let area0 = Cost.area net in
-  let delay0 = Cost.delay net in
   let rng = st.s_rng in
   let current = ref st.s_current in
   let error = ref st.s_error in
@@ -206,8 +243,10 @@ let run_loop ?patterns ?pool ?checkpoint st =
   let incidents = ref st.s_incidents in
   let audits = ref 0 in
   (* Previously feasible best circuits, newest first, for certification
-     rollback. In-memory only: a resumed run restarts with an empty stack,
-     so its rollback depth is bounded by what it has seen since resuming. *)
+     rollback. Kept only under [certify], so uncertified runs hold no extra
+     circuit copies. In-memory only: a resumed run restarts with an empty
+     stack, so its rollback depth is bounded by what it has seen since
+     resuming. *)
   let max_rollback = 8 in
   let rollback = ref [] in
   let ev =
@@ -215,12 +254,16 @@ let run_loop ?patterns ?pool ?checkpoint st =
       ~patterns ~golden ~metric
   in
   (* The effective configuration can lose [incremental] mid-run (audit
-     divergence); checkpoints persist the effective one so a resume
-     continues on the degraded backend. *)
+     divergence, memory pressure); checkpoints persist the effective one so
+     a resume continues on the per-round database. *)
   let eff_config = ref config in
+  (* Every feasible commit — single-LAC, revert or multi-LAC — goes
+     through here, so the rollback stack sees every best the run held. *)
   let take_best e_new =
-    rollback := List.filteri (fun i _ -> i < max_rollback - 1) !rollback;
-    rollback := (!best, !best_error) :: !rollback;
+    if config.Config.certify then
+      rollback :=
+        (!best, !best_error)
+        :: List.filteri (fun i _ -> i < max_rollback - 1) !rollback;
     best := Network.copy !current;
     best_error := e_new
   in
@@ -229,7 +272,7 @@ let run_loop ?patterns ?pool ?checkpoint st =
      structurally broken network would silently poison every later resume,
      so fail loudly here instead. The PRNG is copied because the loop keeps
      mutating it after the hook returns, and the working circuit is copied
-     because the incremental backend mutates it in place (the copy also
+     because round evaluation mutates it in place (the copy also
      drops the signature database's change tracker, which must never be
      marshaled). *)
   let emit_checkpoint () =
@@ -289,8 +332,9 @@ let run_loop ?patterns ?pool ?checkpoint st =
   (* The shadow audit: re-derive the round's signatures and error from
      scratch and compare with what the fast path believes. A divergence
      moves the run permanently down the ladder — incremental to rebuild
-     (abandoning the signature database), rebuild to single-LAC, and at the
-     bottom the run stops with the best circuit so far. *)
+     (abandoning the signature database for a fresh one every round),
+     rebuild to single-LAC, and at the bottom the run stops with the best
+     circuit so far. *)
   let maybe_audit () =
     if not !finished then begin
       let due =
@@ -342,9 +386,9 @@ let run_loop ?patterns ?pool ?checkpoint st =
        state — estimator cone cache, idle signature buffers — and compact.
        Pure space/time trade; scores and tie-breaks cannot change.
      - hard pressure (>= 100%) surviving that relief: descend the ladder to
-       the rebuild backend, abandoning the signature database (the
-       documented bit-identical reference path).
-     - hard pressure even on the cheapest backend: checkpoint and stop
+       the rebuild level, abandoning the persistent signature database for
+       a per-round one that relief can drop between rounds (bit-identical).
+     - hard pressure even on the cheapest level: checkpoint and stop
        degraded with a [Resource_exhausted] incident — the caller (or the
        serve daemon) sheds the job with a structured error instead of
        letting the OOM killer pick a victim. *)
@@ -392,8 +436,8 @@ let run_loop ?patterns ?pool ?checkpoint st =
             degraded_reason := Some Ladder.Resource_pressure;
           match Ladder.level ladder with
           | Ladder.Incremental ->
-            (* Next-cheapest mode: the rebuild backend holds no persistent
-               signature database at all, and stays bit-identical. *)
+            (* Next-cheapest mode: the rebuild level keeps no database
+               across rounds, and stays bit-identical. *)
             Round_eval.degrade_to_rebuild ev;
             Gc.compact ();
             eff_config := { !eff_config with Config.incremental = false };
@@ -625,11 +669,7 @@ let run_loop ?patterns ?pool ?checkpoint st =
               ~applied:(List.length applied)
               ~skipped:(List.length skipped)
               ~e_before ~e_after:e_new ~e_est ~reverted:false;
-            if e_new <= e_b then begin
-              best := Network.copy !current;
-              best_error := e_new
-            end
-            else finished := true
+            if e_new <= e_b then take_best e_new else finished := true
           end
         end
       end
@@ -694,31 +734,11 @@ let run_loop ?patterns ?pool ?checkpoint st =
           ("audits", Tjson.Int !audits);
           ("degraded", Tjson.Bool !degraded);
         ]);
-  {
-    original = net;
-    approximate;
-    error = reported_error;
-    metric;
-    error_bound = e_b;
-    rounds = List.rev !rounds;
-    runtime_seconds;
-    exact_evaluations = !evaluations;
-    area_ratio = Cost.area approximate /. area0;
-    delay_ratio = Cost.delay approximate /. delay0;
-    adp_ratio = Cost.adp approximate /. (area0 *. delay0);
-    degraded = !degraded;
-    degraded_reason = !degraded_reason;
-    final_level = Ladder.level ladder;
-    ladder_events = Ladder.events ladder;
-    ladder_summary = Ladder.summary ladder;
-    audits = !audits;
-    incidents = List.rev !incidents;
-    certification;
-    stats = stats_snap;
-    metrics =
-      Metrics.merge stats_snap.Stats.metrics
-        (Metrics.snapshot (Telemetry.metrics ()));
-  }
+  make_report ~config ~ladder ~original:net ~approximate ~error:reported_error
+    ~metric ~error_bound:e_b ~rounds:(List.rev !rounds) ~runtime_seconds
+    ~exact_evaluations:!evaluations ~stats:stats_snap ~degraded:!degraded
+    ?degraded_reason:!degraded_reason ~audits:!audits
+    ~incidents:(List.rev !incidents) ?certification ()
 
 let run ?config ?patterns ?pool ?checkpoint net ~metric ~error_bound =
   if error_bound <= 0.0 then invalid_arg "Engine.run: error bound must be positive";
@@ -740,11 +760,7 @@ let run ?config ?patterns ?pool ?checkpoint net ~metric ~error_bound =
       s_config = config;
       s_metric = metric;
       s_error_bound = error_bound;
-      s_ladder =
-        Ladder.create
-          ~initial:
-            (if config.Config.incremental then Ladder.Incremental
-             else Ladder.Rebuild);
+      s_ladder = initial_ladder config;
       s_degraded_reason = None;
       s_incidents = [];
     }

@@ -57,6 +57,34 @@ type report = {
           synthesis outputs with or without any exporter attached. *)
 }
 
+val make_report :
+  config:Config.t ->
+  ?ladder:Ladder.t ->
+  original:Network.t ->
+  approximate:Network.t ->
+  error:float ->
+  metric:Metric.kind ->
+  error_bound:float ->
+  rounds:Trace.round list ->
+  runtime_seconds:float ->
+  exact_evaluations:int ->
+  stats:Accals_runtime.Stats.snapshot ->
+  ?degraded:bool ->
+  ?degraded_reason:Ladder.reason ->
+  ?audits:int ->
+  ?incidents:Incident.t list ->
+  ?certification:Certify.outcome ->
+  unit ->
+  report
+(** The one report constructor, for the engine and the baselines alike.
+    The area, delay and ADP ratios compare [approximate] with [original];
+    [final_level], [ladder_events] and [ladder_summary] read [ladder],
+    which defaults to a fresh ladder at the level [config] starts on
+    (incremental, or rebuild under [--no-incremental]); [metrics] merges
+    [stats]'s pool registry with the ambient telemetry registry. [rounds]
+    and [incidents] are chronological. The audit fields default to an
+    unaudited, undegraded run. *)
+
 type snapshot
 (** The engine's complete deterministic state at a round boundary: original
     and working circuits, best feasible circuit, errors, round trace, PRNG

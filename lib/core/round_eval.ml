@@ -2,62 +2,55 @@ open Accals_network
 open Accals_lac
 module Metric = Accals_metrics.Metric
 module Estimator = Accals_esterr.Estimator
-module Evaluate = Accals_esterr.Evaluate
 module Sigdb = Accals_sigdb.Sigdb
 module Bitvec = Accals_bitvec.Bitvec
 
-(* Round evaluation backend: one interface, two implementations.
+(* Round evaluation over a signature database attached to the working
+   circuit. Every evaluation applies its LACs to the working circuit under
+   the database's undo journal, measures the error from a cone-only overlay
+   resimulation and undoes the journal; every commit applies the LACs for
+   real, resimulates the changed cones in place and refreshes the per-round
+   views.
 
-   [Rebuild] is the reference path the engine historically used — every
-   candidate-set evaluation copies the working circuit, applies the LACs to
-   the copy and resimulates it from scratch, and every round rebuilds the
-   analysis context and the estimator. [Incremental] keeps one signature
-   database attached to the working circuit: evaluations run under an undo
-   journal with cone-only overlay resimulation, commits resimulate the
-   changed cones in place, and the persistent estimator is refreshed from
-   the database's change delta.
+   The one setting is how long the database lives. Persistent (the
+   incremental level) keeps the database and the estimator across rounds,
+   the estimator refreshed from the database's change delta. Per-round (the
+   rebuild level) detaches the previous database at [begin_round] and
+   attaches a fresh one with a fresh estimator, so every round starts from
+   one full simulation; this is also what a divergence or memory descent
+   falls back to.
 
-   Both paths are bit-identical observable-for-observable: same applied /
-   skipped partitions (the acyclicity guard sees the same network states),
-   same error floats (overlay cone evaluation produces the same output
-   bitvectors as a from-scratch simulation), same committed circuits
+   Both settings are bit-identical observable-for-observable: same applied
+   / skipped partitions (the acyclicity guard sees the same network
+   states), same error floats (overlay cone evaluation produces the same
+   output bitvectors as a from-scratch simulation), same committed circuits
    (re-applying the applied sublist reproduces the evaluated circuit,
    including fresh node ids). Only the resimulation counters differ — they
-   report the work actually done, which is the point. *)
+   report the work actually done. The copy-and-resimulate reference lives
+   in the tests as an oracle for both. *)
 
-type rebuild_state = {
-  mutable r_ctx : Round_ctx.t option;
-  mutable r_est : Estimator.t option;
-  mutable r_sim_cost : int;  (* live non-input nodes at round start *)
-  mutable r_nodes : int;  (* accumulated full-simulation node count *)
+(* The attached database with its estimator and the counter marks taken
+   against them: a fresh attachment starts every mark at zero. *)
+type attached = {
+  db : Sigdb.t;
+  est : Estimator.t;
+  mutable evals_mark : int;
+  mutable hits_mark : int;  (* estimator cone-cache hit mark *)
+  mutable misses_mark : int;
+  mutable nodes_mark : int;
+  mutable conv_mark : int;
+  mutable rec_mark : int;
+  mutable undo_mark : int;  (* sigdb journal undo mark *)
+  mutable jent_mark : int;  (* sigdb journal entries-undone mark *)
 }
-
-type incr_state = {
-  mutable i_db : Sigdb.t option;
-  mutable i_ctx : Round_ctx.t option;
-  mutable i_est : Estimator.t option;
-  mutable i_nodes_mark : int;
-  mutable i_conv_mark : int;
-  mutable i_rec_mark : int;
-}
-
-type backend = Rebuild of rebuild_state | Incremental of incr_state
 
 type t = {
   current : Network.t ref;
   patterns : Sim.patterns;
   golden : Bitvec.t array;
   metric : Metric.kind;
-  mutable backend : backend;
-  mutable evals_mark : int;
-  mutable hits_mark : int;  (* estimator cone-cache hit mark *)
-  mutable misses_mark : int;
-  mutable hits_pending : int;
-      (* cache deltas banked when a rebuild-path estimator retires at
-         commit, so [take_aux] can report them after the round closed *)
-  mutable misses_pending : int;
-  mutable undo_mark : int;  (* sigdb journal undo mark *)
-  mutable jent_mark : int;  (* sigdb journal entries-undone mark *)
+  mutable persistent : bool;
+  mutable attached : attached option;
 }
 
 type aux = {
@@ -68,33 +61,7 @@ type aux = {
 }
 
 let create ~incremental ~current ~patterns ~golden ~metric =
-  let backend =
-    if incremental then
-      Incremental
-        {
-          i_db = None;
-          i_ctx = None;
-          i_est = None;
-          i_nodes_mark = 0;
-          i_conv_mark = 0;
-          i_rec_mark = 0;
-        }
-    else Rebuild { r_ctx = None; r_est = None; r_sim_cost = 0; r_nodes = 0 }
-  in
-  {
-    current;
-    patterns;
-    golden;
-    metric;
-    backend;
-    evals_mark = 0;
-    hits_mark = 0;
-    misses_mark = 0;
-    hits_pending = 0;
-    misses_pending = 0;
-    undo_mark = 0;
-    jent_mark = 0;
-  }
+  { current; patterns; golden; metric; persistent = incremental; attached = None }
 
 let live_noninput ctx =
   Array.fold_left
@@ -102,188 +69,142 @@ let live_noninput ctx =
       if Network.is_input ctx.Round_ctx.net id then acc else acc + 1)
     0 ctx.Round_ctx.order
 
-let db_exn s =
-  match s.i_db with
-  | Some db -> db
+let attached_exn t =
+  match t.attached with
+  | Some a -> a
   | None -> invalid_arg "Round_eval: no round started"
 
 let sort_by_delta lacs =
   List.sort (fun a b -> compare a.Lac.delta_error b.Lac.delta_error) lacs
 
-(* The incremental views are replaced wholesale at every refresh, so a view
-   sized differently from the network it describes can only mean the
-   database missed a change event — the watermark anomaly that forces an
-   immediate audit. *)
-let watermark_ok t =
-  match t.backend with
-  | Rebuild _ -> true
-  | Incremental { i_db = Some db; _ } ->
-    Array.length (Sigdb.live_view db) = Network.num_nodes !(t.current)
-  | Incremental _ -> true
+(* The database's tracker must come off the network before another can
+   attach, and before the database is abandoned. *)
+let detach t =
+  Option.iter (fun a -> Sigdb.detach a.db) t.attached;
+  t.attached <- None
 
-(* Permanently abandon the incremental database and continue on the
-   reference rebuild path. The database's tracker must come off the
-   network first: rebuild-path commits replace the working circuit with
-   untracked copies, and a stale tracker would keep mutating orphaned
-   state. Counter marks reset with it — the counters they tracked are
-   gone. *)
+let attach t =
+  let db = Sigdb.create !(t.current) t.patterns in
+  let ctx = Round_ctx.of_sigdb db in
+  let est = Estimator.create ctx ~golden:t.golden ~metric:t.metric in
+  (* The initial full simulation inside [Sigdb.create] is real work;
+     surface it through the same counter as the cone evaluations. *)
+  let c = Sigdb.counters db in
+  c.Sigdb.resim_nodes <- c.Sigdb.resim_nodes + live_noninput ctx;
+  let a =
+    {
+      db;
+      est;
+      evals_mark = 0;
+      hits_mark = 0;
+      misses_mark = 0;
+      nodes_mark = 0;
+      conv_mark = 0;
+      rec_mark = 0;
+      undo_mark = 0;
+      jent_mark = 0;
+    }
+  in
+  t.attached <- Some a;
+  a
+
+(* The views are replaced wholesale at every refresh, so a view sized
+   differently from the network it describes can only mean the database
+   missed a change event — the watermark anomaly that forces an immediate
+   audit. *)
+let watermark_ok t =
+  match t.attached with
+  | Some a -> Array.length (Sigdb.live_view a.db) = Network.num_nodes !(t.current)
+  | None -> true
+
+(* From here on every round gets a fresh database. The current one is
+   abandoned at once, so a database the audit caught diverging is never
+   read again and its memory is released now. *)
 let degrade_to_rebuild t =
-  match t.backend with
-  | Rebuild _ -> ()
-  | Incremental s ->
-    (match s.i_db with Some db -> Sigdb.detach db | None -> ());
-    t.evals_mark <- 0;
-    t.hits_mark <- 0;
-    t.misses_mark <- 0;
-    t.undo_mark <- 0;
-    t.jent_mark <- 0;
-    t.backend <-
-      Rebuild { r_ctx = None; r_est = None; r_sim_cost = 0; r_nodes = 0 }
+  t.persistent <- false;
+  detach t
 
 let audit t ~recorded_error =
-  let observed =
-    match t.backend with
-    | Rebuild _ -> None
-    | Incremental s ->
-      let db = db_exn s in
-      Some (Sigdb.live_view db, Sigdb.sigs_view db)
-  in
+  let a = attached_exn t in
   Accals_audit.Shadow.compare ~net:!(t.current) ~patterns:t.patterns
-    ~golden:t.golden ~metric:t.metric ~recorded_error ~observed
+    ~golden:t.golden ~metric:t.metric ~recorded_error
+    ~backend:(if t.persistent then "incremental" else "rebuild")
+    ~observed:(Sigdb.live_view a.db, Sigdb.sigs_view a.db)
 
-let corrupt_for_selftest t =
-  match t.backend with
-  | Rebuild _ -> None
-  | Incremental s -> Sigdb.corrupt_signature (db_exn s)
+let corrupt_for_selftest t = Sigdb.corrupt_signature (attached_exn t).db
 
 (* ------------------------------------------------------------------ *)
 
 let begin_round t =
-  match t.backend with
-  | Rebuild s ->
-    let ctx = Round_ctx.create !(t.current) t.patterns in
-    let est = Estimator.create ctx ~golden:t.golden ~metric:t.metric in
-    s.r_ctx <- Some ctx;
-    s.r_est <- Some est;
-    s.r_sim_cost <- live_noninput ctx;
-    s.r_nodes <- s.r_nodes + s.r_sim_cost;
-    (* The estimator is fresh each rebuild round, so its raw counters
-       restart from zero — the marks must follow. *)
-    t.evals_mark <- 0;
-    t.hits_mark <- 0;
-    t.misses_mark <- 0;
-    (ctx, est)
-  | Incremental s -> (
-    match (s.i_ctx, s.i_est) with
-    | Some ctx, Some est -> (ctx, est)
+  let a =
+    match t.attached with
+    | Some a when t.persistent -> a
     | _ ->
-      let db = Sigdb.create !(t.current) t.patterns in
-      let ctx = Round_ctx.of_sigdb db in
-      let est = Estimator.create ctx ~golden:t.golden ~metric:t.metric in
-      (* The initial full simulation inside [Sigdb.create] is real work;
-         surface it through the same counter as the cone evaluations. *)
-      (Sigdb.counters db).Sigdb.resim_nodes <-
-        (Sigdb.counters db).Sigdb.resim_nodes + live_noninput ctx;
-      s.i_db <- Some db;
-      s.i_ctx <- Some ctx;
-      s.i_est <- Some est;
-      t.evals_mark <- 0;
-      t.hits_mark <- 0;
-      t.misses_mark <- 0;
-      t.undo_mark <- 0;
-      t.jent_mark <- 0;
-      (ctx, est))
-
-let estimator t =
-  match t.backend with
-  | Rebuild { r_est = Some est; _ } | Incremental { i_est = Some est; _ } ->
-    est
-  | _ -> invalid_arg "Round_eval: no round started"
+      detach t;
+      attach t
+  in
+  (Round_ctx.of_sigdb a.db, a.est)
 
 let take_evaluations t =
-  let now = Estimator.evaluations (estimator t) in
-  let delta = now - t.evals_mark in
-  t.evals_mark <- now;
+  let a = attached_exn t in
+  let now = Estimator.evaluations a.est in
+  let delta = now - a.evals_mark in
+  a.evals_mark <- now;
   delta
 
 let take_counters t =
-  match t.backend with
-  | Rebuild s ->
-    let nodes = s.r_nodes in
-    s.r_nodes <- 0;
-    (nodes, 0, 0)
-  | Incremental s ->
-    let c = Sigdb.counters (db_exn s) in
-    let nodes = c.Sigdb.resim_nodes - s.i_nodes_mark in
-    let conv = c.Sigdb.resim_converged - s.i_conv_mark in
-    let recycled = c.Sigdb.buffers_recycled - s.i_rec_mark in
-    s.i_nodes_mark <- c.Sigdb.resim_nodes;
-    s.i_conv_mark <- c.Sigdb.resim_converged;
-    s.i_rec_mark <- c.Sigdb.buffers_recycled;
-    (nodes, conv, recycled)
-
-(* Bank the live estimator's cache deltas into the pending accumulators.
-   Called when the estimator is about to retire (rebuild-path commit) and
-   by [take_aux] itself. *)
-let bank_cache_stats t =
-  match t.backend with
-  | Rebuild { r_est = Some est; _ } | Incremental { i_est = Some est; _ } ->
-    let hits, misses = Estimator.cache_stats est in
-    t.hits_pending <- t.hits_pending + (hits - t.hits_mark);
-    t.misses_pending <- t.misses_pending + (misses - t.misses_mark);
-    t.hits_mark <- hits;
-    t.misses_mark <- misses
-  | _ -> ()
+  let a = attached_exn t in
+  let c = Sigdb.counters a.db in
+  let nodes = c.Sigdb.resim_nodes - a.nodes_mark in
+  let conv = c.Sigdb.resim_converged - a.conv_mark in
+  let recycled = c.Sigdb.buffers_recycled - a.rec_mark in
+  a.nodes_mark <- c.Sigdb.resim_nodes;
+  a.conv_mark <- c.Sigdb.resim_converged;
+  a.rec_mark <- c.Sigdb.buffers_recycled;
+  (nodes, conv, recycled)
 
 let take_aux t =
-  bank_cache_stats t;
-  let cache_hits = t.hits_pending in
-  let cache_misses = t.misses_pending in
-  t.hits_pending <- 0;
-  t.misses_pending <- 0;
-  match t.backend with
-  | Rebuild _ ->
-    { cache_hits; cache_misses; journal_undos = 0; journal_entries = 0 }
-  | Incremental s ->
-    let c = Sigdb.counters (db_exn s) in
-    let journal_undos = c.Sigdb.journal_undos - t.undo_mark in
-    let journal_entries = c.Sigdb.journal_entries_undone - t.jent_mark in
-    t.undo_mark <- c.Sigdb.journal_undos;
-    t.jent_mark <- c.Sigdb.journal_entries_undone;
-    { cache_hits; cache_misses; journal_undos; journal_entries }
+  let a = attached_exn t in
+  let hits, misses = Estimator.cache_stats a.est in
+  let c = Sigdb.counters a.db in
+  let aux =
+    {
+      cache_hits = hits - a.hits_mark;
+      cache_misses = misses - a.misses_mark;
+      journal_undos = c.Sigdb.journal_undos - a.undo_mark;
+      journal_entries = c.Sigdb.journal_entries_undone - a.jent_mark;
+    }
+  in
+  a.hits_mark <- hits;
+  a.misses_mark <- misses;
+  a.undo_mark <- c.Sigdb.journal_undos;
+  a.jent_mark <- c.Sigdb.journal_entries_undone;
+  aux
 
 (* ------------------------------------------------------------------ *)
 (* Memory-governor hooks.
 
-   [aux_bytes] is the footprint of the backend's discardable derived state
-   — the estimator's cone cache and the signature database's idle buffer
-   pool. [relieve_memory] gives exactly that state back: both stores are
-   rebuilt on demand from the per-round views, so dropping them costs time
-   but cannot change scores, tie-breaks or committed circuits. Round
+   [aux_bytes] is the footprint of the discardable derived state — the
+   estimator's cone cache and the signature database's idle buffer pool.
+   [relieve_memory] gives exactly that state back: both stores are rebuilt
+   on demand from the per-round views, so dropping them costs time but
+   cannot change scores, tie-breaks or committed circuits. A per-round
+   database is itself discardable between rounds, so it goes too. Round
    boundary only (a parallel [Estimator.score] reads the cone cache
    concurrently). *)
 
 let aux_bytes t =
-  match t.backend with
-  | Rebuild { r_est = Some est; _ } -> Estimator.cone_cache_bytes est
-  | Rebuild _ -> 0
-  | Incremental s ->
-    (match s.i_est with Some est -> Estimator.cone_cache_bytes est | None -> 0)
-    + (match s.i_db with Some db -> Sigdb.pool_bytes db | None -> 0)
+  match t.attached with
+  | Some a -> Estimator.cone_cache_bytes a.est + Sigdb.pool_bytes a.db
+  | None -> 0
 
 let relieve_memory t =
-  let cones =
-    match t.backend with
-    | Rebuild { r_est = Some est; _ } | Incremental { i_est = Some est; _ } ->
-      Estimator.drop_cone_cache est
-    | _ -> 0
-  in
-  let bufs =
-    match t.backend with
-    | Incremental { i_db = Some db; _ } -> Sigdb.trim_pool db
-    | _ -> 0
-  in
-  (cones, bufs)
+  match t.attached with
+  | None -> (0, 0)
+  | Some a ->
+    let relief = (Estimator.drop_cone_cache a.est, Sigdb.trim_pool a.db) in
+    if not t.persistent then detach t;
+    relief
 
 (* ------------------------------------------------------------------ *)
 (* Speculative evaluation *)
@@ -296,132 +217,74 @@ let measure_outputs t approx =
    returns the applied and skipped partitions and the exact-on-samples
    error of the would-be circuit, before any cleanup. *)
 let eval_set t lacs =
-  let ordered = sort_by_delta lacs in
-  match t.backend with
-  | Rebuild s ->
-    let copy = Network.copy !(t.current) in
-    let applied, skipped = Lac.apply_many copy ordered in
-    let e = Evaluate.actual_error copy t.patterns ~golden:t.golden t.metric in
-    s.r_nodes <- s.r_nodes + s.r_sim_cost;
-    (applied, skipped, e)
-  | Incremental s ->
-    let db = db_exn s in
-    Sigdb.begin_journal db;
-    let applied, skipped = Lac.apply_many !(t.current) ordered in
-    let e = Sigdb.with_journal_outputs db (measure_outputs t) in
-    Sigdb.undo_journal db;
-    (applied, skipped, e)
+  let db = (attached_exn t).db in
+  Sigdb.begin_journal db;
+  let applied, skipped = Lac.apply_many !(t.current) (sort_by_delta lacs) in
+  let e = Sigdb.with_journal_outputs db (measure_outputs t) in
+  Sigdb.undo_journal db;
+  (applied, skipped, e)
 
 (* Try the scored LACs in order until one applies without closing a cycle;
    return it with the exact-on-samples error of the would-be circuit. The
    working circuit is left unchanged. *)
 let eval_single t scored =
-  match t.backend with
-  | Rebuild s ->
-    let rec try_apply = function
-      | [] -> None
-      | lac :: rest -> (
-        let copy = Network.copy !(t.current) in
-        match Lac.apply copy lac with
-        | () ->
-          let e =
-            Evaluate.actual_error copy t.patterns ~golden:t.golden t.metric
-          in
-          s.r_nodes <- s.r_nodes + s.r_sim_cost;
-          Some (lac, e)
-        | exception Network.Cycle _ -> try_apply rest)
-    in
-    try_apply scored
-  | Incremental s ->
-    let db = db_exn s in
-    let rec try_apply = function
-      | [] -> None
-      | lac :: rest -> (
-        (* [Lac.apply] leaves the network untouched when it raises [Cycle]
-           (the guard precedes every mutation), so consecutive attempts can
-           share one journal. *)
-        match Lac.apply !(t.current) lac with
-        | () ->
-          let e = Sigdb.with_journal_outputs db (measure_outputs t) in
-          Some (lac, e)
-        | exception Network.Cycle _ -> try_apply rest)
-    in
-    Sigdb.begin_journal db;
-    let result = try_apply scored in
-    Sigdb.undo_journal db;
-    result
+  let db = (attached_exn t).db in
+  let rec try_apply = function
+    | [] -> None
+    | lac :: rest -> (
+      (* [Lac.apply] leaves the network untouched when it raises [Cycle]
+         (the guard precedes every mutation), so consecutive attempts can
+         share one journal. *)
+      match Lac.apply !(t.current) lac with
+      | () ->
+        let e = Sigdb.with_journal_outputs db (measure_outputs t) in
+        Some (lac, e)
+      | exception Network.Cycle _ -> try_apply rest)
+  in
+  Sigdb.begin_journal db;
+  let result = try_apply scored in
+  Sigdb.undo_journal db;
+  result
 
 (* Evaluate a LAC set the way the AMOSA baseline scores states: apply,
    sweep, then measure both error and area of the cleaned-up circuit —
    still without committing anything. *)
 let probe t lacs =
-  let ordered = sort_by_delta lacs in
-  match t.backend with
-  | Rebuild s ->
-    let copy = Network.copy !(t.current) in
-    let applied, _skipped = Lac.apply_many copy ordered in
-    Cleanup.sweep copy;
-    let e = Evaluate.actual_error copy t.patterns ~golden:t.golden t.metric in
-    s.r_nodes <- s.r_nodes + s.r_sim_cost;
-    (applied, e, Cost.area copy)
-  | Incremental s ->
-    let db = db_exn s in
-    Sigdb.begin_journal db;
-    let applied, _skipped = Lac.apply_many !(t.current) ordered in
-    Cleanup.sweep !(t.current);
-    let e = Sigdb.with_journal_outputs db (measure_outputs t) in
-    let area = Cost.area !(t.current) in
-    Sigdb.undo_journal db;
-    (applied, e, area)
+  let db = (attached_exn t).db in
+  Sigdb.begin_journal db;
+  let applied, _skipped = Lac.apply_many !(t.current) (sort_by_delta lacs) in
+  Cleanup.sweep !(t.current);
+  let e = Sigdb.with_journal_outputs db (measure_outputs t) in
+  let area = Cost.area !(t.current) in
+  Sigdb.undo_journal db;
+  (applied, e, area)
 
 (* ------------------------------------------------------------------ *)
 (* Commits *)
 
-let refresh_incremental t s =
-  let db = db_exn s in
-  Sigdb.resimulate db;
+(* Resimulate the committed change, sweep, and refresh the views. Only a
+   persistent estimator is refreshed: a per-round one is replaced at the
+   next [begin_round] anyway. *)
+let refresh t a =
+  Sigdb.resimulate a.db;
   Cleanup.sweep !(t.current);
-  let delta = Sigdb.refresh db in
-  let ctx = Round_ctx.of_sigdb db in
-  let est =
-    match s.i_est with
-    | Some est -> est
-    | None -> invalid_arg "Round_eval: no round started"
-  in
-  Estimator.refresh est ctx ~sig_changed:delta.Sigdb.sig_changed
-    ~struct_dirty:delta.Sigdb.struct_dirty;
-  s.i_ctx <- Some ctx
+  let delta = Sigdb.refresh a.db in
+  if t.persistent then
+    Estimator.refresh a.est (Round_ctx.of_sigdb a.db)
+      ~sig_changed:delta.Sigdb.sig_changed
+      ~struct_dirty:delta.Sigdb.struct_dirty
 
 (* Commit the applied sublist a prior [eval_set] returned. Re-applying it
    reproduces the evaluated circuit exactly: the skipped LACs never mutated
    anything, so each applied LAC meets the same intermediate network (and
    the same node-id watermark) as during evaluation. *)
 let commit_set t applied =
-  match t.backend with
-  | Rebuild s ->
-    bank_cache_stats t;
-    let copy = Network.copy !(t.current) in
-    let applied', _ = Lac.apply_many copy applied in
-    assert (List.length applied' = List.length applied);
-    Cleanup.sweep copy;
-    t.current := copy;
-    s.r_ctx <- None;
-    s.r_est <- None
-  | Incremental s ->
-    let applied', _ = Lac.apply_many !(t.current) applied in
-    assert (List.length applied' = List.length applied);
-    refresh_incremental t s
+  let a = attached_exn t in
+  let applied', _ = Lac.apply_many !(t.current) applied in
+  assert (List.length applied' = List.length applied);
+  refresh t a
 
 let commit_single t lac =
-  match t.backend with
-  | Rebuild s ->
-    bank_cache_stats t;
-    let copy = Network.copy !(t.current) in
-    Lac.apply copy lac;
-    Cleanup.sweep copy;
-    t.current := copy;
-    s.r_ctx <- None;
-    s.r_est <- None
-  | Incremental s ->
-    Lac.apply !(t.current) lac;
-    refresh_incremental t s
+  let a = attached_exn t in
+  Lac.apply !(t.current) lac;
+  refresh t a

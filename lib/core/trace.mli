@@ -20,15 +20,16 @@ type round = {
   reverted : bool;  (** improvement technique 2 fired *)
   area : float;  (** circuit area after the round *)
   resim_nodes : int;
-      (** node signature evaluations spent this round; on the incremental
-          path only changed fanout cones are re-evaluated, on the rebuild
-          path this counts the full simulations performed *)
+      (** node signature evaluations spent this round: changed fanout
+          cones, plus one full simulation wherever a database was attached
+          this round — the first round, and every round on the rebuild
+          level *)
   resim_converged : int;
       (** evaluations whose result was bit-equal to the stored signature,
-          pruning the rest of their cone (0 on the rebuild path) *)
+          pruning the rest of their cone *)
   resim_recycled : int;
       (** signature buffers served from the recycling pool instead of
-          being freshly allocated (0 on the rebuild path) *)
+          being freshly allocated *)
 }
 
 val indp_ratio : round list -> float

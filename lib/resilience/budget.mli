@@ -34,7 +34,8 @@ module Memory : sig
   (** Escalation level for the sampled footprint against the limit.
       [Soft] (>= 85% of the limit) asks for cheap relief — dropping caches
       and pools that only cost time to rebuild. [Hard] (>= 100%) demands a
-      structural response: degrade the backend, then checkpoint and shed. *)
+      structural response: degrade to a cheaper evaluation level, then
+      checkpoint and shed. *)
   type pressure = Nominal | Soft | Hard
 
   val classify : t -> bytes:int -> pressure

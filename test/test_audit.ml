@@ -338,29 +338,24 @@ let test_shadow_fingerprint () =
 let test_shadow_compare () =
   let net, patterns, golden = shadow_fixture 4 in
   let metric = Metric.Error_rate in
-  check "clean state, no store" true
-    (Shadow.compare ~net ~patterns ~golden ~metric ~recorded_error:0.0
-       ~observed:None
-    = Shadow.Clean);
+  let compare ~recorded_error observed =
+    Shadow.compare ~net ~patterns ~golden ~metric ~recorded_error
+      ~backend:"incremental" ~observed
+  in
+  let live, sigs = derive net patterns in
+  check "clean state, fresh store" true
+    (compare ~recorded_error:0.0 (derive net patterns) = Shadow.Clean);
   check "wrong recorded error is a divergence" true
-    (match
-       Shadow.compare ~net ~patterns ~golden ~metric ~recorded_error:0.5
-         ~observed:None
-     with
+    (match compare ~recorded_error:0.5 (derive net patterns) with
     | Shadow.Divergence d ->
       d.Shadow.recorded_error = 0.5 && d.Shadow.reference_error = 0.0
+      && d.Shadow.nodes = [] && d.Shadow.backend = "incremental"
     | Shadow.Clean -> false);
-  let live, sigs = derive net patterns in
   check "clean incremental store" true
-    (Shadow.compare ~net ~patterns ~golden ~metric ~recorded_error:0.0
-       ~observed:(Some (live, sigs))
-    = Shadow.Clean);
+    (compare ~recorded_error:0.0 (live, sigs) = Shadow.Clean);
   let id = first_live_gate net live sigs in
   Bitvec.set sigs.(id) 0 (not (Bitvec.get sigs.(id) 0));
-  match
-    Shadow.compare ~net ~patterns ~golden ~metric ~recorded_error:0.0
-      ~observed:(Some (live, sigs))
-  with
+  match compare ~recorded_error:0.0 (live, sigs) with
   | Shadow.Divergence d ->
     check "corrupted node named" true (List.mem id d.Shadow.nodes);
     check "fingerprints differ" true (d.Shadow.fp_reference <> d.Shadow.fp_observed)
@@ -448,6 +443,40 @@ let test_engine_divergence_fallback () =
       (List.length resumed.Engine.incidents);
     check "resumed result identical" true
       (decision_fingerprint resumed = decision_fingerprint diverged)
+
+(* Auditing every round on both settings: the shadow audit re-derives
+   signatures and error from scratch at every boundary the run passes, so
+   it is the engine-wide oracle for the persistent and the per-round
+   database alike. The run stops after its first infeasible round without
+   auditing it, so the audits number the feasible rounds. *)
+let test_engine_audited_settings_agree () =
+  List.iter
+    (fun name ->
+      let net = Accals_circuits.Bench_suite.load name in
+      let run incremental =
+        Engine.run
+          ~config:(small_config ~audit_every:1 ~incremental net)
+          net ~metric:Metric.Error_rate ~error_bound:0.03
+      in
+      let incr = run true and reb = run false in
+      List.iter
+        (fun (label, (r : Engine.report)) ->
+          let feasible =
+            List.filter
+              (fun (rd : Trace.round) -> rd.Trace.error_after <= 0.03)
+              r.Engine.rounds
+          in
+          check (Printf.sprintf "%s %s: not degraded" name label) false
+            r.Engine.degraded;
+          check_int
+            (Printf.sprintf "%s %s: one audit per feasible round" name label)
+            (List.length feasible) r.Engine.audits)
+        [ ("incremental", incr); ("rebuild", reb) ];
+      check (name ^ ": audits ran") true (incr.Engine.audits > 0);
+      check_str (name ^ ": same BLIF on both settings")
+        (Accals_io.Blif.to_string incr.Engine.approximate)
+        (Accals_io.Blif.to_string reb.Engine.approximate))
+    [ "mtp8"; "c880" ]
 
 (* --- Certified reports --- *)
 
@@ -549,6 +578,33 @@ let test_engine_certification () =
     in
     check "no certification without the flag" true
       (uncertified.Engine.certification = None)
+
+(* Every feasible best is a rollback candidate, whichever kind of round
+   produced it. On apex6 at ER 1% with 64 samples all four rounds are
+   multi-LAC, the first three feasible; the independent measurement rejects
+   the last feasible circuit, and the rollback must then try the earlier
+   multi-LAC bests before it falls back to the exact original. *)
+let test_certify_rolls_back_multi_lac_bests () =
+  let net = Accals_circuits.Bench_suite.load "apex6" in
+  let config =
+    Config.for_network
+      ~base:{ Config.default with samples = 64; seed = 1; jobs = 1; certify = true }
+      net
+  in
+  let r = Engine.run ~config net ~metric:Metric.Error_rate ~error_bound:0.01 in
+  let feasible =
+    List.filter
+      (fun (rd : Trace.round) ->
+        rd.Trace.mode = Trace.Multi && rd.Trace.error_after <= 0.01)
+      r.Engine.rounds
+  in
+  check "several feasible multi-LAC rounds" true (List.length feasible >= 2);
+  match r.Engine.certification with
+  | None -> Alcotest.fail "certify=true but no certification in the report"
+  | Some o ->
+    check "certified" true o.Certify.certified;
+    check "rollback visited an earlier multi-LAC best" true
+      (o.Certify.rollback_steps > 1)
 
 (* --- Satellite: mutation-based property tests for Network.validate --- *)
 
@@ -706,6 +762,8 @@ let suite =
         Alcotest.test_case "compare verdicts" `Quick test_shadow_compare;
         Alcotest.test_case "engine falls back to rebuild" `Slow
           test_engine_divergence_fallback;
+        Alcotest.test_case "audited settings agree" `Slow
+          test_engine_audited_settings_agree;
       ] );
     ( "audit certification",
       [
@@ -716,6 +774,8 @@ let suite =
           test_certify_with_rollback;
         Alcotest.test_case "engine-level certification" `Slow
           test_engine_certification;
+        Alcotest.test_case "rollback sees multi-LAC bests" `Slow
+          test_certify_rolls_back_multi_lac_bests;
       ] );
     ( "audit validate properties",
       [ prop_validate_catches_mutations ] );

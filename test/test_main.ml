@@ -6,5 +6,6 @@ let () =
    @ Test_datapath.suite @ Test_extensions.suite @ Test_aig.suite
    @ Test_analysis.suite @ Test_dsp.suite @ Test_refactor.suite @ Test_fuzz.suite
    @ Test_runtime.suite @ Test_resilience.suite @ Test_sigdb.suite
+   @ Test_round_eval.suite
    @ Test_audit.suite @ Test_telemetry.suite @ Test_server.suite
    @ Test_observe.suite)

@@ -256,12 +256,15 @@ let test_engine_incremental_identity () =
         (name ^ ": incremental jobs=4 = jobs=1")
         true
         (engine_key incr4 = engine_key incr1);
+      (* Round 1 is the same full simulation on both settings; the
+         persistent database pays off over the rest of the run. *)
+      let resim_total (r : Engine.report) =
+        List.fold_left (fun acc rd -> acc + rd.Trace.resim_nodes) 0 r.Engine.rounds
+      in
       check
         (name ^ ": incremental round touches fewer nodes than rebuild")
         true
-        (match (incr1.Engine.rounds, reference.Engine.rounds) with
-        | ri :: _, rr :: _ -> ri.Trace.resim_nodes <= rr.Trace.resim_nodes
-        | _ -> true))
+        (resim_total incr1 <= resim_total reference))
     [ ("mtp8", 1); ("rca32", 2) ]
 
 let suite =
