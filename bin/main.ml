@@ -26,7 +26,6 @@ module Server = Accals_server.Server
 module Client = Accals_server.Client
 module Sproto = Accals_server.Protocol
 module Graceful = Accals_server.Graceful
-module Backoff = Accals_server.Backoff
 
 (* Exit codes (also listed in `accals --help`):
      0   success
@@ -1219,35 +1218,9 @@ let client_cmd =
       exit failure_exit
     in
     (* With --retry, shed responses are retried under the shared backoff
-       policy; the daemon's retry_after_ms hint floors each delay.  Safe
-       for submit because submissions are content-addressed (a retry
-       coalesces or hits the cache, never duplicating work). *)
-    let rpc_retrying request =
-      if not retry then Client.rpc c request
-      else
-        let schedule = Backoff.start Backoff.default in
-        let rec go () =
-          match Client.rpc c request with
-          | Ok resp
-            when (not (Client.ok resp))
-                 && List.mem (Client.error_code resp)
-                      [
-                        Some "overloaded"; Some "quarantined";
-                        Some "resource_exhausted";
-                      ] -> (
-            match
-              Backoff.next_with_floor schedule
-                ~floor:(Option.value (Client.retry_after resp) ~default:0.0)
-            with
-            | None -> Ok resp
-            | Some d ->
-              Unix.sleepf d;
-              go ())
-          | r -> r
-        in
-        go ()
-    in
-    (match rpc_retrying request with
+       policy (see [Client.rpc_retry]). *)
+    let rpc = if retry then Client.rpc_retry ?policy:None else Client.rpc in
+    (match rpc c request with
      | Error msg -> fail_rpc msg
      | Ok resp ->
        print_response resp;

@@ -1,3 +1,5 @@
+module Json = Accals_telemetry.Json
+
 type kind =
   | Audit_divergence of {
       backend : string;
@@ -28,66 +30,47 @@ let kind_name t =
   | Job_quarantined _ -> "job_quarantined"
   | Resource_exhausted _ -> "resource_exhausted"
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"round\": %d, \"kind\": \"%s\"" t.round (kind_name t));
-  (match t.kind with
-   | Audit_divergence d ->
-     Buffer.add_string buf
-       (Printf.sprintf ", \"backend\": \"%s\", \"nodes\": [%s]"
-          (escape d.backend)
-          (String.concat ", " (List.map string_of_int d.nodes)));
-     Buffer.add_string buf
-       (Printf.sprintf
-          ", \"fp_reference\": \"%s\", \"fp_observed\": \"%s\", \
-           \"recorded_error\": %.9g, \"reference_error\": %.9g"
-          (escape d.fp_reference) (escape d.fp_observed) d.recorded_error
-          d.reference_error)
-   | Checkpoint_corrupt c ->
-     Buffer.add_string buf
-       (Printf.sprintf ", \"path\": \"%s\", \"detail\": \"%s\""
-          (escape c.path) (escape c.detail))
-   | Certification_violation v ->
-     Buffer.add_string buf
-       (Printf.sprintf ", \"measured\": %.9g, \"bound\": %.9g, \"step\": %d"
-          v.measured v.bound v.step)
-   | Watchdog_expired w ->
-     Buffer.add_string buf
-       (Printf.sprintf ", \"scope\": \"%s\"" (escape w.scope))
-   | Deadline_exceeded d ->
-     Buffer.add_string buf
-       (Printf.sprintf
-          ", \"job\": \"%s\", \"phase\": \"%s\", \"deadline_s\": %.9g"
-          (escape d.job) (escape d.phase) d.deadline_s)
-   | Job_quarantined q ->
-     Buffer.add_string buf
-       (Printf.sprintf
-          ", \"fingerprint\": \"%s\", \"failures\": %d, \"cooldown_s\": %.9g"
-          (escape q.fingerprint) q.failures q.cooldown_s)
-   | Resource_exhausted r ->
-     Buffer.add_string buf
-       (Printf.sprintf
-          ", \"resource\": \"%s\", \"limit\": %.9g, \"observed\": %.9g"
-          (escape r.resource) r.limit r.observed));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let str s = Json.String s and num x = Json.Float x in
+  let fields =
+    match t.kind with
+    | Audit_divergence d ->
+      [
+        ("backend", str d.backend);
+        ("nodes", Json.List (List.map (fun n -> Json.Int n) d.nodes));
+        ("fp_reference", str d.fp_reference);
+        ("fp_observed", str d.fp_observed);
+        ("recorded_error", num d.recorded_error);
+        ("reference_error", num d.reference_error);
+      ]
+    | Checkpoint_corrupt c -> [ ("path", str c.path); ("detail", str c.detail) ]
+    | Certification_violation v ->
+      [
+        ("measured", num v.measured);
+        ("bound", num v.bound);
+        ("step", Json.Int v.step);
+      ]
+    | Watchdog_expired w -> [ ("scope", str w.scope) ]
+    | Deadline_exceeded d ->
+      [
+        ("job", str d.job);
+        ("phase", str d.phase);
+        ("deadline_s", num d.deadline_s);
+      ]
+    | Job_quarantined q ->
+      [
+        ("fingerprint", str q.fingerprint);
+        ("failures", Json.Int q.failures);
+        ("cooldown_s", num q.cooldown_s);
+      ]
+    | Resource_exhausted r ->
+      [
+        ("resource", str r.resource);
+        ("limit", num r.limit);
+        ("observed", num r.observed);
+      ]
+  in
+  Json.Obj (("round", Json.Int t.round) :: ("kind", str (kind_name t)) :: fields)
 
 let append_jsonl ~path incidents =
   if incidents <> [] then begin
@@ -99,7 +82,7 @@ let append_jsonl ~path incidents =
        and the cache, so chaos runs must be able to starve it too. *)
     List.iter
       (fun t ->
-        Accals_resilience.Fault.output_string oc (to_json t);
+        Accals_resilience.Fault.output_string oc (Json.to_string (to_json t));
         output_char oc '\n')
       incidents;
     flush oc

@@ -48,8 +48,9 @@ val make : round:int -> kind -> t
 val kind_name : t -> string
 (** The stable [kind] discriminator used in the JSON encoding. *)
 
-val to_json : t -> string
-(** One-line JSON object (no trailing newline). *)
+val to_json : t -> Accals_telemetry.Json.t
+(** The incident as a JSON object: [round], [kind], then the kind's
+    fields. The log line and the [--json] report both print this. *)
 
 val append_jsonl : path:string -> t list -> unit
 (** Append each incident as one line to [path], creating it if needed.

@@ -44,11 +44,6 @@ let ladder_event_json (e : Ladder.event) =
       ("transient", Json.Bool e.Ladder.transient);
     ]
 
-let incident_json (i : Incident.t) =
-  (* Reuse the incident log's own (line-oriented) encoder so incident
-     objects look identical in both artifacts. *)
-  Json.parse_exn (Incident.to_json i)
-
 let certification_json (o : Certify.outcome) =
   Json.Obj
     [
@@ -97,7 +92,7 @@ let to_json ?(rounds = false) (r : Engine.report) =
       ( "ladder_events",
         Json.List (List.map ladder_event_json r.Engine.ladder_events) );
       ("audits", Json.Int r.Engine.audits);
-      ("incidents", Json.List (List.map incident_json r.Engine.incidents));
+      ("incidents", Json.List (List.map Incident.to_json r.Engine.incidents));
       ( "certification",
         match r.Engine.certification with
         | Some o -> certification_json o

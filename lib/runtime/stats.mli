@@ -67,7 +67,9 @@ val time_phase : t -> string -> (unit -> 'a) -> 'a
 (** [time_phase t name f] runs [f ()] and adds its monotonic wall-clock
     duration to the accumulated time of phase [name]; when the ambient
     telemetry tracer is enabled it also records a span (category
-    ["phase"]). Phases appear in snapshots in first-recorded order.
+    ["phase"]) over the same interval. The clock is read once on entry
+    and once on exit, so the span's duration is exactly the counted
+    one. Phases appear in snapshots in first-recorded order.
 
     Re-entrancy: calls may nest, including the same phase inside itself —
     each level accumulates its own full duration on exit (so a

@@ -10,7 +10,7 @@
     unboundedly on a dead or permanently overloaded daemon.
 
     Used by {!Client.connect_unix_retry} (racing a booting daemon) and
-    {!Client.submit_retry} (honoring the daemon's [retry_after_ms]
+    {!Client.rpc_retry} (honoring the daemon's [retry_after_ms]
     overload hint). *)
 
 type t = {

@@ -44,18 +44,23 @@ val error_code : Json.t -> string option
 val retry_after : Json.t -> float option
 (** The response's ["retry_after_ms"] hint, converted to seconds. *)
 
+val rpc_retry :
+  ?policy:Backoff.t -> t -> Protocol.request -> (Json.t, string) result
+(** As {!rpc}, but retry [overloaded] / [quarantined] /
+    [resource_exhausted] rejections under a {!Backoff} schedule
+    (default {!Backoff.default}), honoring the daemon's [retry_after_ms]
+    hint as a per-step floor. Once the policy's [max_total] sleep
+    budget is exhausted, the last rejection is returned as it came. *)
+
 val submit : t -> Protocol.job_spec -> (string * bool, string) result
 (** Submit and return [(job id, cached)]; [Error] on rejection. *)
 
 val submit_retry :
   ?policy:Backoff.t -> t -> Protocol.job_spec -> (string * bool, string) result
-(** As {!submit}, but retry [overloaded] / [quarantined] /
-    [resource_exhausted] rejections
-    under a {!Backoff} schedule, honoring the daemon's [retry_after_ms]
-    hint as a per-step floor. Safe because submissions are
+(** {!submit} through {!rpc_retry}. Safe because submissions are
     content-addressed: a retry coalesces onto the first attempt or hits
-    its cache entry, never duplicating work. [Error] once the policy's
-    [max_total] sleep budget is exhausted. *)
+    its cache entry, never duplicating work. [Error] with the daemon's
+    message once the budget is exhausted. *)
 
 val wait :
   ?poll_interval:float ->

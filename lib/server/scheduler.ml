@@ -1,6 +1,7 @@
 module Json = Accals_telemetry.Json
 module Clock = Accals_telemetry.Clock
 module Trace_context = Accals_telemetry.Trace_context
+module Tracer = Accals_telemetry.Tracer
 module Metric = Accals_metrics.Metric
 
 type state = Queued | Running | Done | Failed | Cancelled
@@ -35,10 +36,10 @@ type job = {
   mutable result : Cache.entry option;
   mutable failure : string option;
   mutable events : Json.t list;  (* newest first *)
-  mutable engine_trace : Json.t list;
-      (* The job's engine-side Chrome-trace events, already rebased to
-         absolute monotonic microseconds and relocated off the lifecycle
-         lane (see [attach_trace]); merged into [trace_events]. *)
+  mutable engine_trace : Tracer.event list;
+      (* The job's engine-side events as its tracer recorded them
+         (absolute monotonic time, engine lanes from 0); [trace] moves
+         them below the lifecycle lane. *)
 }
 
 type t = {
@@ -404,116 +405,66 @@ let view t j =
 let result t j = locked t (fun () -> j.result)
 let events t j = locked t (fun () -> List.rev j.events)
 
-(* The per-job merged trace: lifecycle spans synthesized from the job's
-   timestamps on lane 0 ("lifecycle"), plus the engine's own events
-   (attached by the server, already rebased/relocated) on lanes 1..n.
-   Everything shares pid 1 and carries the job's trace_id in args, so
-   one file tells the job's whole story: client submit, cache lookup,
-   queue wait, dispatch, engine rounds/phases, delivery. *)
-let trace_events t j =
+(* The per-job merged trace: lifecycle spans rebuilt from the job's
+   stamps on lane 0 ("lifecycle"), plus the engine's own events
+   (attached by the server) moved to lanes 1..n. Every lifecycle event
+   carries the job's trace_id in args, so one file tells the job's whole
+   story: client submit, cache lookup, queue wait, dispatch, engine
+   rounds/phases, delivery. Open spans end at "now". *)
+let trace ?(engine = true) t j =
   locked t (fun () ->
-      let us x = 1e6 *. x in
+      let tr = Tracer.create () in
+      let ns s = Int64.of_float (s *. 1e9) in
       let args extra =
-        ( "args",
-          Json.Obj
-            (("job", Json.String j.id)
-            :: ("trace_id", Json.String j.trace_id)
-            :: extra) )
+        ("job", Json.String j.id) :: ("trace_id", Json.String j.trace_id) :: extra
       in
       let span ?(extra = []) name ts_s dur_s =
-        Json.Obj
-          [
-            ("name", Json.String name);
-            ("cat", Json.String "job");
-            ("ph", Json.String "X");
-            ("ts", Json.Float (us ts_s));
-            ("dur", Json.Float (us (Float.max 0.0 dur_s)));
-            ("pid", Json.Int 1);
-            ("tid", Json.Int 0);
-            args extra;
-          ]
-      in
-      let instant ?(extra = []) name ts_s =
-        Json.Obj
-          [
-            ("name", Json.String name);
-            ("cat", Json.String "job");
-            ("ph", Json.String "i");
-            ("ts", Json.Float (us ts_s));
-            ("s", Json.String "t");
-            ("pid", Json.Int 1);
-            ("tid", Json.Int 0);
-            args extra;
-          ]
+        Tracer.record tr ~cat:"job" ~args:(args extra) ~tid:0
+          ~dur_ns:(ns dur_s) ~start_ns:(ns ts_s) name
       in
       let now = Clock.now () in
       (* The client's monotonic clock only shares an epoch with ours on
          the same machine; an implausible gap (remote client, clock
          mixup) drops the span rather than drawing a nonsense bar. *)
-      let client_submit =
-        match j.spec.Protocol.client_ts with
-        | Some c when c <= j.submitted_mono && j.submitted_mono -. c < 300.0
-          ->
-          [ span "client.submit" c (j.submitted_mono -. c) ]
-        | _ -> []
-      in
-      let cache_lookup =
-        if j.lookup_s > 0.0 then
-          [
-            span "cache.lookup" j.submitted_mono j.lookup_s
-              ~extra:[ ("hit", Json.Bool j.cached) ];
-          ]
-        else []
-      in
-      let queued_end = Option.value j.started_mono ~default:now in
-      let queue_wait =
-        [ span "queue.wait" j.submitted_mono (queued_end -. j.submitted_mono) ]
-      in
-      let dispatch =
-        match j.started_mono with
-        | None -> []
-        | Some s ->
-          let e = Option.value j.run_begin_mono ~default:s in
-          [ span "dispatch" s (e -. s) ]
-      in
-      let run =
-        match (j.cached, j.started_mono) with
-        | true, _ | _, None -> []
-        | false, Some s ->
-          let b = Option.value j.run_begin_mono ~default:s in
-          let e = Option.value j.finished_mono ~default:now in
-          [ span "run" b (e -. b) ]
-      in
-      let terminal_mark =
-        match j.finished_mono with
-        | None -> []
-        | Some f ->
-          [
-            instant (state_to_string j.state) f
-              ~extra:
-                (match j.failure with
-                 | Some msg -> [ ("error", Json.String msg) ]
-                 | None -> []);
-          ]
-      in
-      let delivery =
-        match (j.finished_mono, j.delivered_mono) with
-        | Some f, Some d -> [ span "result.delivery" f (d -. f) ]
-        | _ -> []
-      in
-      let meta =
-        Json.Obj
-          [
-            ("name", Json.String "thread_name");
-            ("ph", Json.String "M");
-            ("pid", Json.Int 1);
-            ("tid", Json.Int 0);
-            ("args", Json.Obj [ ("name", Json.String "lifecycle") ]);
-          ]
-      in
-      (meta :: client_submit)
-      @ cache_lookup @ queue_wait @ dispatch @ run @ terminal_mark @ delivery
-      @ j.engine_trace)
+      (match j.spec.Protocol.client_ts with
+       | Some c when c <= j.submitted_mono && j.submitted_mono -. c < 300.0 ->
+         span "client.submit" c (j.submitted_mono -. c)
+       | _ -> ());
+      if j.lookup_s > 0.0 then
+        span "cache.lookup" j.submitted_mono j.lookup_s
+          ~extra:[ ("hit", Json.Bool j.cached) ];
+      span "queue.wait" j.submitted_mono
+        (Option.value j.started_mono ~default:now -. j.submitted_mono);
+      Option.iter
+        (fun s -> span "dispatch" s (Option.value j.run_begin_mono ~default:s -. s))
+        j.started_mono;
+      (match (j.cached, j.started_mono) with
+       | false, Some s ->
+         let b = Option.value j.run_begin_mono ~default:s in
+         span "run" b (Option.value j.finished_mono ~default:now -. b)
+       | _ -> ());
+      Option.iter
+        (fun f ->
+          let extra =
+            match j.failure with
+            | Some msg -> [ ("error", Json.String msg) ]
+            | None -> []
+          in
+          Tracer.record tr ~cat:"job" ~args:(args extra) ~tid:0
+            ~start_ns:(ns f) (state_to_string j.state))
+        j.finished_mono;
+      (match (j.finished_mono, j.delivered_mono) with
+       | Some f, Some d -> span "result.delivery" f (d -. f)
+       | _ -> ());
+      if engine then
+        Tracer.add tr ~lane:(fun ev -> Tracer.event_tid ev + 1) j.engine_trace;
+      tr)
+
+let trace_events t j =
+  Tracer.export (trace t j) ~origin_ns:0L ~pid:1 ~lane_name:(function
+    | 0 -> "lifecycle"
+    | 1 -> "engine"
+    | lane -> Printf.sprintf "engine-worker-%d" (lane - 1))
 
 let counts t =
   locked t (fun () ->

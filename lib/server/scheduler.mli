@@ -101,12 +101,10 @@ val note_delivered : t -> job -> unit
 (** A client fetched the job's result for the first time: closes the
     "result.delivery" span. Idempotent; no-op until terminal. *)
 
-val attach_trace : t -> job -> Json.t list -> unit
-(** Attach the job's engine-side Chrome-trace events, already rebased
-    to absolute monotonic microseconds and relocated off lane 0 (the
-    server uses {!Accals_telemetry.Tracer.events_json} with the
-    tracer's epoch and a tid offset). They are appended verbatim to
-    {!trace_events}. *)
+val attach_trace : t -> job -> Accals_telemetry.Tracer.event list -> unit
+(** Attach the events of the job's engine tracer, as recorded (lanes
+    from 0, absolute monotonic time). {!trace} moves them to lanes
+    1..n. *)
 
 val finish : t -> job -> Cache.entry -> degraded:bool -> unit
 val fail : t -> job -> string -> unit
@@ -173,14 +171,19 @@ val result : t -> job -> Cache.entry option
 val events : t -> job -> Json.t list
 (** Chronological. *)
 
+val trace : ?engine:bool -> t -> job -> Accals_telemetry.Tracer.t
+(** The job's merged trace: lifecycle spans rebuilt from its stamps on
+    lane 0 — [client.submit] (when the client sent a plausible
+    same-machine [client_ts]), [cache.lookup], [queue.wait],
+    [dispatch], [run], a terminal-state instant and [result.delivery],
+    category ["job"], each tagged with the job's [trace_id]; spans
+    still open end now — followed by the engine events attached via
+    {!attach_trace} on lanes 1..n, unless [engine] is [false]. *)
+
 val trace_events : t -> job -> Json.t list
-(** The job's merged Chrome trace: lifecycle spans synthesized from its
-    timestamps on lane 0 — [client.submit] (when the client sent a
-    plausible same-machine [client_ts]), [cache.lookup], [queue.wait],
-    [dispatch], [run], a terminal-state instant and [result.delivery] —
-    followed by the engine events attached via {!attach_trace} on lanes
-    1..n. One pid, every event tagged with the job's [trace_id];
-    loadable in Perfetto as a single coherent timeline. *)
+(** {!trace} as Chrome trace-event JSON: absolute monotonic
+    microseconds, pid 1, lanes named ["lifecycle"], ["engine"],
+    ["engine-worker-N"]. Loadable in Perfetto as one timeline. *)
 
 val counts : t -> (state * int) list
 (** Jobs per state, for gauges. *)

@@ -796,14 +796,9 @@ let worker_body t job net =
      Metrics.incr (finished_counter t "failed"));
   (* The engine trace is attached on failure too — a post-mortem wants
      the rounds that led up to the crash, not just the happy path. *)
-  if Tracer.event_count tr > 0 && Tracer.event_count tr <= max_attached_trace_events
-  then
-    Scheduler.attach_trace t.sched job
-      (Tracer.events_json ~ts_offset_us:(Tracer.epoch_us tr) ~tid_offset:1
-         ~pid:1
-         ~thread_name:(fun tid ->
-           if tid = 0 then "engine" else Printf.sprintf "engine-worker-%d" tid)
-         tr);
+  (let n = Tracer.event_count tr in
+   if n > 0 && n <= max_attached_trace_events then
+     Scheduler.attach_trace t.sched job (Tracer.events tr));
   (let v = Scheduler.view t.sched job in
    Option.iter (Metrics.observe t.h_wait) v.Scheduler.v_wait_s;
    Option.iter (Metrics.observe t.h_run) v.Scheduler.v_run_s;
@@ -1360,48 +1355,19 @@ let server_trace t =
   let admission_span name =
     List.mem name [ "client.submit"; "cache.lookup"; "queue.wait"; "dispatch" ]
   in
-  let max_lane = ref 0 in
-  let events =
-    List.concat_map
-      (fun j ->
-        let lane =
-          Option.value (Hashtbl.find_opt t.lanes (Scheduler.id j)) ~default:0
-        in
-        if lane > !max_lane then max_lane := lane;
-        List.filter_map
-          (fun ev ->
-            match (Json.member "ph" ev, Json.member "tid" ev, ev) with
-            | Some (Json.String "M"), _, _ -> None
-            | _, Some (Json.Int 0), Json.Obj fields ->
-              let name =
-                match Json.member "name" ev with
-                | Some (Json.String n) -> n
-                | _ -> ""
-              in
-              let tid = if admission_span name then 0 else lane in
-              Some
-                (Json.Obj
-                   (List.map
-                      (fun (k, v) ->
-                        if k = "tid" then (k, Json.Int tid) else (k, v))
-                      fields))
-            | _ -> None (* engine lanes: per-job traces only *))
-          (Scheduler.trace_events t.sched j))
-      (Scheduler.all t.sched)
-  in
-  let meta tid name =
-    Json.Obj
-      [
-        ("ph", Json.String "M");
-        ("name", Json.String "thread_name");
-        ("pid", Json.Int 1);
-        ("tid", Json.Int tid);
-        ("args", Json.Obj [ ("name", Json.String name) ]);
-      ]
-  in
-  meta 0 "admission"
-  :: List.init !max_lane (fun i -> meta (i + 1) (Printf.sprintf "slot-%d" (i + 1)))
-  @ events
+  let fleet = Tracer.create () in
+  List.iter
+    (fun j ->
+      let lane =
+        Option.value (Hashtbl.find_opt t.lanes (Scheduler.id j)) ~default:0
+      in
+      Tracer.add fleet
+        ~lane:(fun ev -> if admission_span (Tracer.event_name ev) then 0 else lane)
+        (Tracer.events (Scheduler.trace ~engine:false t.sched j)))
+    (Scheduler.all t.sched);
+  Tracer.export fleet ~origin_ns:0L ~pid:1 ~lane_name:(function
+    | 0 -> "admission"
+    | lane -> Printf.sprintf "slot-%d" lane)
 
 let drain t =
   (* Stop sampling before teardown I/O: past this point no signal can

@@ -52,19 +52,15 @@ let with_span ?cat ?args name f =
   | None -> f ()
   | Some tr -> Tracer.with_span tr ?cat ?args name f
 
-type span = Tracer.span option
-
-let begin_span ?cat ?args name =
-  match (get ()).tracer with
-  | None -> None
-  | Some tr -> Some (Tracer.begin_span tr ?cat ?args name)
-
-let end_span = function None -> () | Some s -> Tracer.end_span s
-
 let instant ?cat ?args name =
   match (get ()).tracer with
   | None -> ()
   | Some tr -> Tracer.instant tr ?cat ?args name
+
+let record ?cat ?dur_ns ~start_ns name =
+  match (get ()).tracer with
+  | None -> ()
+  | Some tr -> Tracer.record tr ?cat ?dur_ns ~start_ns name
 
 (* ------------------------------------------------------------------ *)
 (* Metrics *)

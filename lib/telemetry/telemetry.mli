@@ -71,14 +71,12 @@ val with_span :
 (** Run a thunk under a span on the ambient tracer; just the thunk when
     tracing is off. *)
 
-type span
-(** An open ambient span — [None]-like when tracing is off. Carries its
-    tracer, so it closes correctly even if the handle changes mid-span. *)
-
-val begin_span : ?cat:string -> ?args:(string * Json.t) list -> string -> span
-val end_span : span -> unit
-
 val instant : ?cat:string -> ?args:(string * Json.t) list -> string -> unit
+
+val record : ?cat:string -> ?dur_ns:int64 -> start_ns:int64 -> string -> unit
+(** {!Tracer.record} on the ambient tracer: an event at an interval the
+    caller already measured on the monotonic clock. No-op when tracing
+    is off. *)
 
 (** {1 Metrics} *)
 

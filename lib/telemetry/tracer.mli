@@ -1,44 +1,60 @@
-(** Hierarchical span tracer emitting Chrome trace-event JSON.
+(** Hierarchical span tracer, and the one Chrome trace-event encoder.
 
-    Spans are recorded as "X" (complete) events with microsecond [ts] and
-    [dur] taken from the monotonic {!Clock}; point-in-time marks are "i"
-    (instant) events. The output is the array form of the Chrome
-    trace-event format, loadable in Perfetto or [chrome://tracing].
+    A tracer is a thread-safe list of typed events: complete spans
+    ("X") and instants ("i"), each stamped with an absolute monotonic
+    {!Clock} start (nanoseconds), a lane id ([tid]), a category and
+    arguments. {!export} is the only code in the tree that turns events
+    into Chrome trace-event JSON (the array form, loadable in Perfetto
+    or [chrome://tracing]): thread-name metadata ("M") for every lane,
+    then the events sorted by start, microsecond [ts]/[dur].
 
-    Threads: each domain registers a small integer [tid] through
-    {!set_tid} (the pool assigns worker [i] tid [i+1]; the main domain is
-    tid 0). Thread-name metadata ("M") events are emitted on export so
-    Perfetto shows "main" / "worker-N" lanes.
+    Events are recorded two ways: {!with_span} and {!instant} read the
+    clock themselves; {!record} takes an explicit start and duration,
+    for callers that already measured the interval ([Stats.time_phase])
+    or that rebuild spans from stored timestamps (the daemon's per-job
+    lifecycle). {!events} and {!add} move typed events between tracers,
+    relocating lanes on the way, so a merged timeline never round-trips
+    through JSON.
 
-    The tracer never reorders or drops events and is safe to use from any
-    domain (one mutex around the event list; spans themselves are plain
-    values so nesting needs no shared state). *)
+    Lanes: each domain registers a small integer [tid] through
+    {!set_tid} (the pool assigns worker [i] tid [i+1]; the main domain
+    is tid 0); events recorded without an explicit [tid] take it.
+
+    The tracer never reorders or drops events and is safe to use from
+    any domain (one mutex around the event list; an open span lives on
+    its caller's stack, so nesting needs no shared state). *)
 
 type t
 
-type span
-(** An open span: created by {!begin_span}, closed by {!end_span}. The
-    span remembers its tracer, so it stays valid even if the ambient
-    telemetry handle changes mid-span. *)
+type event
+(** One recorded span or instant. *)
 
 val create : unit -> t
+(** An empty tracer whose epoch is the current monotonic time. *)
 
 val set_tid : int -> unit
 (** Register the calling domain's thread id for subsequent events.
     Defaults to 0 (main). *)
 
-val begin_span :
-  t -> ?cat:string -> ?args:(string * Json.t) list -> string -> span
-
-val end_span : span -> unit
-(** Record the complete event. Calling [end_span] twice on the same span
-    records the event twice — callers close each span exactly once
-    (typically via [Fun.protect]). *)
+val record :
+  t ->
+  ?cat:string ->
+  ?args:(string * Json.t) list ->
+  ?tid:int ->
+  ?dur_ns:int64 ->
+  start_ns:int64 ->
+  string ->
+  unit
+(** Record an event at an explicit absolute monotonic start
+    ({!Clock.now_ns} time): a complete span of [dur_ns] (clamped at 0),
+    or an instant when [dur_ns] is omitted. [tid] defaults to the
+    calling domain's. Reads no clock. *)
 
 val with_span :
   t -> ?cat:string -> ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
-(** [begin_span]/[end_span] around a thunk; the span is closed even if the
-    thunk raises. *)
+(** Record a complete span around a thunk, from just before it starts to
+    just after it returns; the span is recorded even if the thunk
+    raises. *)
 
 val instant :
   t -> ?cat:string -> ?args:(string * Json.t) list -> string -> unit
@@ -48,28 +64,32 @@ val event_count : t -> int
 (** Number of span/instant events recorded so far (metadata events not
     included). *)
 
-val to_json : t -> Json.t
-(** The full trace as a Chrome trace-event array: thread-name metadata
-    events first, then all recorded events sorted by timestamp. *)
+val events : t -> event list
+(** The recorded events, in recording order. *)
 
-val epoch_us : t -> float
-(** The tracer's creation time in microseconds on the monotonic clock —
-    the offset to pass to {!events_json} to rebase its relative
-    timestamps onto absolute monotonic time. *)
+val event_name : event -> string
+val event_tid : event -> int
 
-val events_json :
-  ?ts_offset_us:float ->
-  ?tid_offset:int ->
+val add : t -> lane:(event -> int) -> event list -> unit
+(** Append events recorded by another tracer, keeping their absolute
+    timestamps and moving each to lane [lane ev]. *)
+
+val export :
+  ?origin_ns:int64 ->
   ?pid:int ->
-  ?thread_name:(int -> string) ->
+  ?lane_name:(int -> string) ->
   t ->
   Json.t list
-(** Export for merging into a host timeline: thread-name metadata plus
-    all events, with [ts_offset_us] added to every timestamp,
-    [tid_offset] added to every lane id, [pid] overriding the process id
-    and [thread_name] renaming lanes (it receives the original tid).
-    Used by the daemon to graft a job's engine trace onto the
-    scheduler's lifecycle spans as one Chrome trace. *)
+(** The Chrome trace-event array: one thread-name metadata event per
+    lane (tid 0 always, plus every tid an event sits on, ascending),
+    then every event sorted by start. Timestamps are microseconds since
+    [origin_ns] (default: the tracer's epoch; pass [0L] for absolute
+    monotonic time, which is how the daemon puts several tracers on one
+    timeline). [pid] defaults to the process id; [lane_name] names each
+    lane (default ["main"] for tid 0, ["worker-N"] otherwise). *)
+
+val to_json : t -> Json.t
+(** [export] with every default, as one JSON array. *)
 
 val write : t -> string -> unit
 (** Write [to_json] to a file (pretty-printed). *)

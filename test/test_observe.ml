@@ -578,7 +578,44 @@ let test_trace_propagation_e2e () =
   match Json.member "traceEvents" doc with
   | Some (Json.List _ as l) ->
     let evs = Test_telemetry.validate_chrome_trace l in
-    check "server trace has events" true (List.length evs > 0)
+    check "server trace has events" true (List.length evs > 0);
+    (* Lanes: each run sits on a slot lane, admission spans on lane 0,
+       and the engine's own spans stay in the per-job traces. *)
+    let str field ev = Option.bind (Json.member field ev) Json.string_opt in
+    let tid ev = Option.bind (Json.member "tid" ev) Json.int_opt in
+    let slot_lanes =
+      List.filter_map
+        (fun ev ->
+          match Json.member "args" ev with
+          | Some args
+            when str "ph" ev = Some "M"
+                 && Option.fold ~none:false
+                      ~some:(String.starts_with ~prefix:"slot-")
+                      (str "name" args) ->
+            tid ev
+          | _ -> None)
+        (Option.get (Json.to_list_opt l))
+    in
+    let runs = List.filter (fun ev -> str "name" ev = Some "run") evs in
+    check "server trace has run spans" true (runs <> []);
+    List.iter
+      (fun ev ->
+        check "run span on a slot lane" true
+          (str "ph" ev = Some "X"
+          && match tid ev with
+             | Some t -> t >= 1 && List.mem t slot_lanes
+             | None -> false))
+      runs;
+    List.iter
+      (fun ev ->
+        if
+          List.mem (str "name" ev)
+            [ Some "client.submit"; Some "cache.lookup"; Some "queue.wait";
+              Some "dispatch" ]
+        then check "admission span on lane 0" true (tid ev = Some 0);
+        check "no engine span in the server trace" false
+          (str "cat" ev = Some "engine"))
+      evs
   | _ -> Alcotest.fail "server trace without traceEvents"
 
 let suite =

@@ -578,7 +578,32 @@ let test_scheduler_lifecycle () =
   check "view state" true (v.Scheduler.v_state = Scheduler.Cancelled);
   check "events recorded" true (List.length (Scheduler.events s j2) >= 3);
   check "trace events synthesized" true
-    (List.length (Scheduler.trace_events s j2) >= 2)
+    (List.length (Scheduler.trace_events s j2) >= 2);
+  (* The traces of a job cancelled while queued and of a cache hit are
+     valid Chrome traces with the lifecycle their stamps describe. *)
+  let hit =
+    Scheduler.submit s
+      ~spec:(spec ~name:"three" ~tenant:"a" ~priority:0 ())
+      ~circuit:"three" ~digest:"d" ~key:"k3" ~lookup_s:0.001
+      ~cached:{ Cache.key = "k3"; report = Json.Null; blif = "b" }
+      ()
+  in
+  let names j =
+    List.filter_map
+      (fun ev -> Option.bind (Json.member "name" ev) Json.string_opt)
+      (Test_telemetry.validate_chrome_trace
+         (Json.List (Scheduler.trace_events s j)))
+  in
+  let cancelled = names j1 and cached = names hit in
+  check "cancelled job waited in the queue" true
+    (List.mem "queue.wait" cancelled);
+  check "cancelled job ends in a cancelled mark" true
+    (List.mem "cancelled" cancelled);
+  check "cancelled job never ran" false
+    (List.exists (fun n -> List.mem n [ "dispatch"; "run" ]) cancelled);
+  check "cache hit shows its lookup" true (List.mem "cache.lookup" cached);
+  check "cache hit ends in a done mark" true (List.mem "done" cached);
+  check "cache hit never ran" false (List.mem "run" cached)
 
 let test_scheduler_coalescing () =
   let s = Scheduler.create () in

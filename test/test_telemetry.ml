@@ -368,8 +368,7 @@ let test_telemetry_disabled_noop () =
   check "not tracing" false (Telemetry.tracing ());
   (* Every facade call must be callable with nothing installed. *)
   Telemetry.with_span "x" (fun () -> ());
-  let s = Telemetry.begin_span "y" in
-  Telemetry.end_span s;
+  Telemetry.record ~dur_ns:1L ~start_ns:0L "y";
   Telemetry.instant "z";
   Telemetry.count "accals_noop_total" 1;
   Telemetry.event (fun () -> Alcotest.fail "event thunk forced while disabled");
@@ -491,6 +490,48 @@ let test_stats_phase_spans () =
        ~labels:[ ("phase", "simulate") ]
        "accals_phase_seconds_total"
      = Some (Metrics.Counter 1.5))
+
+(* One phase, one duration: the phase counter and the "phase" span come
+   from the same clock pair, so per phase the spans' summed [dur] (ns
+   converted to us by the exporter) is the counted seconds x 1e6. Two
+   clock pairs would make every span longer than its counted interval
+   by at least one clock read. *)
+let test_phase_one_duration () =
+  let tracer = Tracer.create () in
+  let s = Stats.create ~jobs:1 in
+  Telemetry.install (Telemetry.make ~tracer ());
+  Fun.protect ~finally:Telemetry.reset (fun () ->
+      for _ = 1 to 200 do
+        Stats.time_phase s "outer" (fun () ->
+            Stats.time_phase s "inner" ignore;
+            ignore (Sys.opaque_identity (List.init 10 Fun.id)))
+      done);
+  let events = validate_chrome_trace (Tracer.to_json tracer) in
+  let snap = Stats.snapshot s in
+  List.iter
+    (fun phase ->
+      let spans =
+        List.filter
+          (fun ev ->
+            Json.member "cat" ev = Some (Json.String "phase")
+            && Json.member "name" ev = Some (Json.String phase))
+          events
+      in
+      check_int (phase ^ " spans") 200 (List.length spans);
+      let span_us =
+        List.fold_left
+          (fun acc ev ->
+            acc +. Option.get (Option.bind (Json.member "dur" ev) Json.number_opt))
+          0.0 spans
+      in
+      let counted_us = Stats.phase_seconds snap phase *. 1e6 in
+      check
+        (Printf.sprintf "%s: spans %.6f us = counted %.6f us" phase span_us
+           counted_us)
+        true
+        (counted_us > 0.0
+        && Float.abs (span_us -. counted_us) <= 1e-9 *. counted_us))
+    [ "outer"; "inner" ]
 
 (* --- Trace CSV: arity lock, formatting stability, round-trip --- *)
 
@@ -765,6 +806,8 @@ let suite =
         Alcotest.test_case "stats time_phase monotonic" `Quick
           test_stats_time_phase_monotonic;
         Alcotest.test_case "stats phase spans" `Quick test_stats_phase_spans;
+        Alcotest.test_case "stats phase one duration" `Quick
+          test_phase_one_duration;
         Alcotest.test_case "trace csv format" `Quick test_trace_csv_format;
         Alcotest.test_case "trace csv roundtrip" `Quick
           test_trace_csv_roundtrip;
